@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race race-engine race-serve race-smt race-storage lint lint-json lint-sarif lint-alloc lint-concurrency lint-self memo-report bench-smt bench-serve bench-disk fuzz-smoke fuzz-storage smoke-siad smoke-cluster check clean
+.PHONY: build vet test race race-engine race-serve race-smt race-storage lint lint-json lint-sarif lint-alloc lint-concurrency lint-self memo-report bench-smt bench-serve bench-disk fuzz-smoke fuzz-storage fuzz-filter smoke-siad smoke-cluster check clean
 
 build:
 	$(GO) build ./...
@@ -99,6 +99,12 @@ fuzz-smoke:
 fuzz-storage:
 	$(GO) test -fuzz=FuzzReadSegment -fuzztime=10s -run='^$$' ./internal/storage/
 
+# Compiled-predicate fuzz smoke: for fuzzed generator seeds, the engine's
+# filter must select exactly the rows predicate.Eval makes TRUE, and a
+# segment the zone maps prune must hold none of them.
+fuzz-filter:
+	$(GO) test -fuzz=FuzzFilterMatchesEval -fuzztime=10s -run='^$$' ./internal/storage/
+
 # Black-box daemon smoke test: start siad, probe /healthz and /metrics,
 # require a clean SIGTERM shutdown within 5s.
 smoke-siad:
@@ -111,7 +117,7 @@ smoke-cluster:
 	./scripts/smoke-cluster.sh
 
 # check is the full CI gate: everything must pass before merging.
-check: build vet race race-engine race-serve race-smt race-storage lint lint-alloc lint-concurrency lint-self smoke-siad smoke-cluster
+check: build vet race race-engine race-serve race-smt race-storage fuzz-filter lint lint-alloc lint-concurrency lint-self smoke-siad smoke-cluster
 
 clean:
 	$(GO) clean ./...

@@ -60,7 +60,7 @@ func TestFilterFastPath(t *testing.T) {
 	tab := buildSmall(t, [][2]int64{{1, 10}, {2, 20}, {3, 30}, {4, 40}})
 	s := tab.Schema()
 	p := predtest.MustParse("v > 15 AND v < 40", s)
-	out := Filter(tab, p)
+	out := FilterPar(tab, p, 1)
 	if out.NumRows() != 2 {
 		t.Fatalf("filter kept %d rows", out.NumRows())
 	}
@@ -95,7 +95,7 @@ func TestFilterMatchesEvalProperty(t *testing.T) {
 	}
 	for _, src := range exprs {
 		p := predtest.MustParse(src, s)
-		out := Filter(tab, p)
+		out := FilterPar(tab, p, 1)
 		want := 0
 		for row := 0; row < tab.NumRows(); row++ {
 			if predicate.Eval(p, tab.Tuple(row)) == predicate.True {
@@ -115,12 +115,12 @@ func TestFilterSlowPathNulls(t *testing.T) {
 	tab.AppendRow(predicate.NullValue())
 	tab.AppendRow(predicate.IntVal(-5))
 	p := predtest.MustParse("x > 0", s)
-	out := Filter(tab, p)
+	out := FilterPar(tab, p, 1)
 	if out.NumRows() != 1 {
 		t.Fatalf("NULL must not pass the filter: kept %d", out.NumRows())
 	}
 	// NOT (x > 0) keeps only -5: NULL stays excluded under 3VL.
-	out = Filter(tab, predicate.NewNot(p))
+	out = FilterPar(tab, predicate.NewNot(p), 1)
 	if out.NumRows() != 1 || out.Value(0, "x").Int != -5 {
 		t.Fatalf("3VL negation broken: kept %d", out.NumRows())
 	}

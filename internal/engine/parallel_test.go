@@ -100,8 +100,8 @@ func TestParallelSelectionAndFilterMatchSerial(t *testing.T) {
 	}
 	for _, src := range preds {
 		p := predtest.MustParse(src, s)
-		refSel := Selection(tab, p)
-		refTab := Filter(tab, p)
+		refSel := SelectionPar(tab, p, 1)
+		refTab := FilterPar(tab, p, 1)
 		for _, par := range parLevels() {
 			sel := SelectionPar(tab, p, par)
 			for i := range refSel {
@@ -288,46 +288,50 @@ func TestAggregateNullSemantics(t *testing.T) {
 	}
 }
 
+// vectorized reports whether p, a single comparison, binds to t's linear
+// kernels rather than the residual row evaluator.
+func vectorized(t *testing.T, tab *Table, p predicate.Predicate) bool {
+	t.Helper()
+	b := bind(tab, predicate.Compile(p))
+	if b.kind != predicate.ProgAtom {
+		t.Fatalf("%s compiled to node kind %d, want one atom", p, b.kind)
+	}
+	return b.vector
+}
+
 func TestVectorizedOverflowBoundary(t *testing.T) {
 	s := predicate.NewSchema(predicate.Column{Name: "a", Type: predicate.TypeInteger, NotNull: true})
 
 	// Safe boundary: |a| = (MaxInt64-1)/2, so the bound for a+a (plus the
-	// guard's one-unit slack) is exactly MaxInt64 — the fast path must
-	// still engage, and must be correct.
+	// guard's one-unit slack) is exactly MaxInt64 — the kernel must still
+	// engage, and must be correct.
 	edge := int64((math.MaxInt64 - 1) / 2)
 	safe := NewTable("s", s)
 	for _, v := range []int64{edge, -edge, 0, 1} {
 		safe.AppendRow(predicate.IntVal(v))
 	}
 	p := predtest.MustParse("a + a < 0", s)
-	if _, ok := compileVectorized(safe, p); !ok {
+	if !vectorized(t, safe, p) {
 		t.Fatal("boundary-safe comparison should vectorize")
 	}
 	want := []bool{false, true, false, false}
-	for i, got := range Selection(safe, p) {
+	for i, got := range SelectionPar(safe, p, 1) {
 		if got != want[i] {
 			t.Fatalf("safe row %d: got %v want %v", i, got, want[i])
 		}
 	}
 
 	// One past the boundary: a = 2^62 makes a+a wrap to MinInt64, which the
-	// naive kernel would accept as < 0. The guard must reject vectorization
-	// and the slow path must reject every row (2^63 > 0).
+	// naive kernel would accept as < 0. The guard must send the atom to the
+	// residual path, and that must reject every row (2^63 > 0).
 	big := NewTable("b", s)
 	for _, v := range []int64{1 << 62, (1 << 62) + 5} {
 		big.AppendRow(predicate.IntVal(v))
 	}
-	if _, ok := compileVectorized(big, p); ok {
+	if vectorized(t, big, p) {
 		t.Fatal("overflowing comparison must not vectorize")
 	}
-	if cmp, ok := p.(*predicate.Compare); !ok {
-		t.Fatalf("parse produced %T", p)
-	} else if _, ok := compileFast(p, big); ok {
-		t.Fatal("overflowing comparison must not take the compiled fast path")
-	} else if _, ok := linearizeCompare(cmp, big); ok {
-		t.Fatal("linearizeCompare must refuse an overflowing comparison")
-	}
-	for i, got := range Selection(big, p) {
+	for i, got := range SelectionPar(big, p, 1) {
 		if got {
 			t.Fatalf("row %d: 2·2⁶² is positive and must be rejected", i)
 		}
@@ -337,21 +341,55 @@ func TestVectorizedOverflowBoundary(t *testing.T) {
 	big2 := NewTable("b2", s)
 	big2.AppendRow(predicate.IntVal(1 << 61))
 	p4 := predtest.MustParse("4*a < 1", s)
-	if _, ok := compileVectorized(big2, p4); ok {
+	if vectorized(t, big2, p4) {
 		t.Fatal("4·2⁶¹ overflows and must not vectorize")
 	}
-	if sel := Selection(big2, p4); sel[0] {
+	if sel := SelectionPar(big2, p4, 1); sel[0] {
 		t.Fatal("4·2⁶¹ is positive and must be rejected")
 	}
 
 	// The magnitude bound must survive columnar copies (gather carries it),
-	// so a filtered subset of an overflow-prone table still refuses the
-	// wrapping kernel.
-	sub := Filter(big, predtest.MustParse("a >= 0", s))
+	// so a filtered subset of an overflow-prone table still takes the
+	// residual path, and still answers exactly.
+	sub := FilterPar(big, predtest.MustParse("a >= 0", s), 1)
 	if sub.NumRows() != 2 {
 		t.Fatalf("filter kept %d rows", sub.NumRows())
 	}
-	if _, ok := compileVectorized(sub, p); ok {
+	if vectorized(t, sub, p) {
 		t.Fatal("gathered copy lost the overflow guard")
+	}
+	if kept := FilterPar(sub, p, 1); kept.NumRows() != 0 {
+		t.Fatalf("gathered copy kept %d rows; 2·2⁶² is positive", kept.NumRows())
+	}
+
+	// A column whose coefficient cancels still counts: Eval computes
+	// a − 35 at a = MinInt64 as written, overflows, and answers in
+	// float64, so the kernel's exact 27 > −35 would disagree with it.
+	minTab := NewTable("m", s)
+	minTab.AppendRow(predicate.IntVal(math.MinInt64))
+	pc := predtest.MustParse("a + 27 > a - 35", s)
+	if vectorized(t, minTab, pc) {
+		t.Fatal("a cancelled column at MinInt64 must not vectorize")
+	}
+	if got, want := SelectionPar(minTab, pc, 1)[0], predicate.Satisfies(pc, minTab.Tuple(0)); got != want {
+		t.Fatalf("cancelled column: filter %v, eval %v", got, want)
+	}
+
+	// So does a column under a zero multiplier: Eval still computes a + a,
+	// overflows, and finishes b − c in float64, where 2⁶²−1 − (2⁶²−2)
+	// rounds to 0.
+	s3 := predicate.NewSchema(
+		predicate.Column{Name: "a", Type: predicate.TypeInteger, NotNull: true},
+		predicate.Column{Name: "b", Type: predicate.TypeInteger, NotNull: true},
+		predicate.Column{Name: "c", Type: predicate.TypeInteger, NotNull: true},
+	)
+	zeroTab := NewTable("z", s3)
+	zeroTab.AppendRow(predicate.IntVal(math.MinInt64), predicate.IntVal(edge), predicate.IntVal(edge-1))
+	pz := predtest.MustParse("0 * (a + a) + b - c > 0", s3)
+	if vectorized(t, zeroTab, pz) {
+		t.Fatal("a zero-multiplied column at MinInt64 must not vectorize")
+	}
+	if got, want := SelectionPar(zeroTab, pz, 1)[0], predicate.Satisfies(pz, zeroTab.Tuple(0)); got != want {
+		t.Fatalf("zero multiplier: filter %v, eval %v", got, want)
 	}
 }

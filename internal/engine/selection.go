@@ -1,247 +1,161 @@
 package engine
 
 import (
-	"math/big"
+	"fmt"
 
 	"sia/internal/predicate"
 )
 
-// Selection evaluates a predicate over every row of t and returns the
-// acceptance bitmap, serially. See SelectionPar.
-func Selection(t *Table, p predicate.Predicate) []bool {
-	return SelectionPar(t, p, 1)
+// SelectionPar evaluates a predicate over every row of t on par workers
+// (par <= 0 means DefaultParallelism) and returns the acceptance bitmap:
+// true exactly where predicate.Eval returns True. See selectProgram.
+func SelectionPar(t *Table, p predicate.Predicate, par int) []bool {
+	return selectProgram(t, predicate.Compile(p), par)
 }
 
-// SelectionPar evaluates a predicate over every row of t on par workers
-// (par <= 0 means DefaultParallelism) and returns the acceptance bitmap.
-// Conjunctions of linear integer comparisons are compiled once into
-// column-at-a-time kernels — no per-row closure calls — and then run
-// morsel-parallel over disjoint row ranges, which makes a pushed-down
-// filter an order of magnitude cheaper than a hash probe, the cost
-// relationship predicate pushdown relies on. Anything outside that shape
-// falls back to the compiled per-row path, likewise sharded over morsels.
-// The bitmap is identical at any worker count: rows are independent and
-// each worker writes only its own range.
-func SelectionPar(t *Table, p predicate.Predicate, par int) []bool {
+// selectProgram binds a compiled predicate to t and runs it morsel-parallel
+// over disjoint row ranges. Each morsel starts all-selected and every node
+// narrows it in place, so an atom only ever looks at rows its ancestors
+// still select. The bitmap is identical at any worker count: rows are
+// independent and each worker writes only its own range.
+func selectProgram(t *Table, prog *predicate.Program, par int) []bool {
 	sel := make([]bool, t.nRows)
-	if prog, ok := compileVectorized(t, p); ok {
-		forEachMorsel(t.nRows, par, func(_, _, lo, hi int) {
-			chunk := sel[lo:hi]
-			for i := range chunk {
-				chunk[i] = true
-			}
-			prog.run(chunk, lo)
-		})
-		return sel
-	}
-	accept := CompilePredicate(p, t)
+	b := bind(t, prog)
 	forEachMorsel(t.nRows, par, func(_, _, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			sel[i] = accept(i)
+		chunk := sel[lo:hi]
+		for i := range chunk {
+			chunk[i] = true
 		}
+		b.run(chunk, lo)
 	})
 	return sel
 }
 
-// vecKernel ANDs one predicate's acceptance into sel, where sel[i]
-// corresponds to row lo+i of the table.
-type vecKernel func(sel []bool, lo int)
-
-// vecProgram is a conjunction of vectorized kernels compiled against one
-// table. Compilation happens once per (predicate, table); running is pure
-// over disjoint row ranges, so morsels execute concurrently.
-type vecProgram struct {
-	kernels []vecKernel
+// boundProgram is a compiled predicate bound to one table's columns.
+// Binding happens once per (program, table); running is pure over disjoint
+// row ranges, so morsels execute concurrently.
+type boundProgram struct {
+	kind predicate.ProgKind
+	args []*boundProgram
+	atom *predicate.Atom
+	// A vectorized atom runs the linear kernels over the raw column
+	// arrays.
+	vector bool
+	cols   [][]int64
+	coefs  []int64
+	// A residual atom evaluates atom.Cmp on a tuple of the referenced
+	// columns the table has (an absent column reads as NULL).
+	names []string
+	data  []*colData
 }
 
-// sia:hotpath
-func (v *vecProgram) run(sel []bool, lo int) {
-	for _, k := range v.kernels {
-		// alloc: kernels are closures compiled once per (predicate, table);
-		// each writes sel in place and allocates nothing per row
-		k(sel, lo)
+// bind resolves every atom of prog against t. A linear atom is vectorized
+// when every column it references, coefficient zero included, is an
+// integral NOT NULL column of t, and it passes the overflow guard with the
+// columns' maxAbs bounds: the kernels use wrapping machine arithmetic and
+// no NULL handling. Every other atom is a residual.
+func bind(t *Table, prog *predicate.Program) *boundProgram {
+	b := &boundProgram{kind: prog.Kind, atom: prog.Atom, args: make([]*boundProgram, len(prog.Args))}
+	for i, q := range prog.Args {
+		b.args[i] = bind(t, q)
 	}
-}
-
-// compileVectorized compiles p into a vecProgram, or reports ok=false when
-// p is outside the vectorizable fragment (conjunctions of linear integer
-// comparisons over NOT NULL columns whose evaluation provably fits int64).
-func compileVectorized(t *Table, p predicate.Predicate) (*vecProgram, bool) {
-	prog := &vecProgram{}
-	if !prog.compile(t, p) {
-		return nil, false
+	a := prog.Atom
+	if a == nil {
+		return b
 	}
-	return prog, true
-}
-
-func (v *vecProgram) compile(t *Table, p predicate.Predicate) bool {
-	switch x := p.(type) {
-	case *predicate.And:
-		for _, q := range x.Preds {
-			if !v.compile(t, q) {
-				return false
+	if t.vectorizable(a) {
+		b.vector = true
+		for _, tm := range a.Terms {
+			if tm.Coef != 0 {
+				b.cols = append(b.cols, t.cols[tm.Col].ints)
+				b.coefs = append(b.coefs, tm.Coef)
 			}
 		}
-		return true
-	case *predicate.Literal:
-		if !x.B {
-			v.kernels = append(v.kernels, func(sel []bool, _ int) {
-				for i := range sel {
-					sel[i] = false
-				}
-			})
-		}
-		return true
-	case *predicate.Compare:
-		return v.compileCompare(t, x)
-	default:
-		return false
+		return b
 	}
+	for _, name := range a.Cols {
+		if cd, ok := t.cols[name]; ok {
+			b.names = append(b.names, name)
+			b.data = append(b.data, cd)
+		}
+	}
+	return b
 }
 
-// compileCompare vectorizes one linear integer comparison. The comparison
-// is normalized so only three kernel shapes exist: Σ + k < 0 (after
-// negating coefficients for > and widening constants for the non-strict
-// forms over integers), Σ + k = 0, and Σ + k ≠ 0.
-func (v *vecProgram) compileCompare(t *Table, x *predicate.Compare) bool {
-	lc, ok := linearizeCompare(x, t)
-	if !ok {
+func (t *Table) vectorizable(a *predicate.Atom) bool {
+	if !a.Linear {
 		return false
 	}
-	op := lc.op
-	// Normalize > and >= to < and <= by negating the whole term.
-	if op == predicate.CmpGT || op == predicate.CmpGE {
-		for i := range lc.coefs {
-			lc.coefs[i] = -lc.coefs[i]
-		}
-		lc.k = -lc.k
-		op = op.Flip()
-	}
-	// Integer tightening: Σ + k <= 0  ==  Σ + k - 1 < 0. (linearizeCompare
-	// budgets one unit of slack on |k| for exactly this step.)
-	if op == predicate.CmpLE {
-		op = predicate.CmpLT
-		lc.k--
-	}
-	cols, coefs, k := lc.cols, lc.coefs, lc.k
-	switch op {
-	case predicate.CmpLT:
-		v.kernels = append(v.kernels, func(sel []bool, lo int) {
-			vectorLT(cols, coefs, k, sel, lo)
-		})
-	case predicate.CmpEQ:
-		v.kernels = append(v.kernels, func(sel []bool, lo int) {
-			vectorEQ(cols, coefs, k, sel, lo, false)
-		})
-	case predicate.CmpNE:
-		v.kernels = append(v.kernels, func(sel []bool, lo int) {
-			vectorEQ(cols, coefs, k, sel, lo, true)
-		})
-	default:
-		return false
-	}
-	return true
-}
-
-// linearComparison is a comparison of Σ coefᵢ·colᵢ + k against zero over
-// raw int64 column arrays, proven by linearizeCompare not to overflow.
-type linearComparison struct {
-	cols  [][]int64
-	coefs []int64
-	k     int64
-	op    predicate.CmpOp
-}
-
-// linearizeCompare normalizes a comparison of linear integer expressions
-// into Σ coefᵢ·colᵢ + k `op` 0 over t's backing arrays. It returns ok=false
-// when the comparison is non-linear, references non-integral or nullable
-// columns, has fractional coefficients that do not clear into int64, or —
-// crucially — when a conservative bound on |k| + Σ |coefᵢ|·max|colᵢ| does
-// not fit in int64: the flat multiply-add kernels use wrapping machine
-// arithmetic, so large coefficients or column values must bail to the slow
-// exact path instead of silently wrapping.
-func linearizeCompare(x *predicate.Compare, t *Table) (linearComparison, bool) {
-	var lc linearComparison
-	lin, err := predicate.Linearize(predicate.Sub(x.Left, x.Right))
-	if err != nil {
-		return lc, false
-	}
-	// Clear denominators: scaling by a positive integer preserves every
-	// comparison against zero.
-	lcm := int64(1)
-	for _, col := range lin.Columns() {
-		d := lin.Coeffs[col].Denom()
-		if !d.IsInt64() {
-			return lc, false
-		}
-		lcm = lcmInt64(lcm, d.Int64())
-	}
-	if d := lin.Const.Denom(); !d.IsInt64() {
-		return lc, false
-	} else {
-		lcm = lcmInt64(lcm, d.Int64())
-	}
-	if lcm <= 0 || lcm > 1<<20 {
-		return lc, false
-	}
-	lin.Scale(ratFromInt(lcm))
-
-	// The overflow guard accumulates |k| + Σ |coefᵢ|·max|colᵢ| alongside
-	// term extraction: every partial sum of Σ coefᵢ·colᵢ + k is bounded in
-	// magnitude by that total, and one extra unit covers the k-1 tightening
-	// of <= and the coefficient negation of >/>= (|−k| = |k| except at
-	// MinInt64, which the +1 absorbs). Unless the bound fits in int64 the
-	// flat multiply-add kernels could silently wrap, so the comparison
-	// bails to the slow exact path.
-	var bound uint64
-	for _, col := range lin.Columns() {
-		c, ok := t.schema.Lookup(col)
+	for _, name := range a.Cols {
+		c, ok := t.schema.Lookup(name)
 		if !ok || !c.Type.Integral() || !c.NotNull {
-			return lc, false
+			return false
 		}
-		coef := lin.Coeffs[col]
-		if !coef.IsInt() || !coef.Num().IsInt64() {
-			return lc, false
-		}
-		cv := coef.Num().Int64()
-		cd := t.cols[col]
-		bound = addBound(bound, mulBound(absU64(cv), cd.maxAbs))
-		lc.coefs = append(lc.coefs, cv)
-		lc.cols = append(lc.cols, cd.ints)
 	}
-	if !lin.Const.IsInt() || !lin.Const.Num().IsInt64() {
-		return lc, false
-	}
-	lc.k = lin.Const.Num().Int64()
-	lc.op = x.Op
-	bound = addBound(bound, addBound(absU64(lc.k), 1))
-	if bound > maxInt64U {
-		return lc, false
-	}
-	return lc, true
+	return a.FitsInt64(func(col string) uint64 { return t.cols[col].maxAbs })
 }
 
-const maxInt64U = uint64(1<<63 - 1)
-
-// addBound adds two magnitude bounds, saturating above int64 range.
-func addBound(a, b uint64) uint64 {
-	s := a + b
-	if s < a || s > maxInt64U {
-		return maxInt64U + 1
+// run clears sel[i] for every row lo+i on which the program is not TRUE.
+// AND narrows sel in place, operand by operand. OR runs each operand on
+// the rows no earlier operand accepted and unions the results.
+//
+// sia:hotpath
+func (b *boundProgram) run(sel []bool, lo int) {
+	switch b.kind {
+	case predicate.ProgAnd:
+		for _, q := range b.args {
+			q.run(sel, lo)
+		}
+	case predicate.ProgOr:
+		// alloc: one scratch pair per OR node per morsel, not per row
+		scratch := make([]bool, 2*len(sel))
+		acc, try := scratch[:len(sel)], scratch[len(sel):]
+		for _, q := range b.args {
+			for i := range try {
+				try[i] = sel[i] && !acc[i]
+			}
+			q.run(try, lo)
+			for i := range acc {
+				acc[i] = acc[i] || try[i]
+			}
+		}
+		copy(sel, acc)
+	case predicate.ProgAtom:
+		if !b.vector {
+			b.residual(sel, lo)
+			return
+		}
+		a := b.atom
+		switch a.Op {
+		case predicate.CmpLT:
+			vectorLT(b.cols, b.coefs, a.K, sel, lo)
+		case predicate.CmpEQ:
+			vectorEQ(b.cols, b.coefs, a.K, sel, lo, false)
+		case predicate.CmpNE:
+			vectorEQ(b.cols, b.coefs, a.K, sel, lo, true)
+		default:
+			panic(fmt.Sprintf("engine: linear atom with operator %v", a.Op))
+		}
+	default:
+		panic(fmt.Sprintf("engine: unknown program node %d", b.kind))
 	}
-	return s
 }
 
-// mulBound multiplies two magnitude bounds, saturating above int64 range.
-func mulBound(a, b uint64) uint64 {
-	if a == 0 || b == 0 {
-		return 0
+// residual evaluates the atom's comparison row by row with full
+// three-valued semantics, on the rows still selected.
+func (b *boundProgram) residual(sel []bool, lo int) {
+	// alloc: one tuple per residual atom per morsel, reused across rows
+	tup := make(predicate.Tuple, len(b.names))
+	for i := range sel {
+		if !sel[i] {
+			continue
+		}
+		for j, cd := range b.data {
+			// alloc: the same keys every row; the map is presized for them
+			tup[b.names[j]] = cd.value(lo + i)
+		}
+		sel[i] = predicate.Satisfies(b.atom.Cmp, tup)
 	}
-	p := a * b
-	if p/a != b || p > maxInt64U {
-		return maxInt64U + 1
-	}
-	return p
 }
 
 // vectorLT ANDs (Σ coefᵢ·colᵢ + k < 0) into sel for rows [lo, lo+len(sel)),
@@ -315,6 +229,3 @@ func vectorEQ(cols [][]int64, coefs []int64, k int64, sel []bool, lo int, negate
 		sel[i] = (s == 0) != negate
 	}
 }
-
-// ratFromInt returns v as a big.Rat (helper shared with exec.go).
-func ratFromInt(v int64) *big.Rat { return new(big.Rat).SetInt64(v) }

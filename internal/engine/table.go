@@ -28,8 +28,9 @@ type colData struct {
 	nulls []bool // nil when the column is NOT NULL
 	// maxAbs is an upper bound on |v| over the stored ints, maintained on
 	// append and carried (conservatively) through columnar copies. The
-	// compiled filter fast paths use it to prove Σ coefᵢ·colᵢ + k cannot
-	// overflow int64 before committing to wrapping machine arithmetic.
+	// filter's bind step passes it to the overflow guard
+	// (predicate.Atom.FitsInt64) before committing to wrapping machine
+	// arithmetic.
 	maxAbs uint64
 }
 
@@ -96,6 +97,10 @@ func (t *Table) Value(row int, col string) predicate.Value {
 	if !ok {
 		panic(fmt.Sprintf("engine: unknown column %s.%s", t.Name, col))
 	}
+	return cd.value(row)
+}
+
+func (cd *colData) value(row int) predicate.Value {
 	if cd.nulls != nil && cd.nulls[row] {
 		return predicate.NullValue()
 	}

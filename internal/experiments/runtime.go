@@ -194,7 +194,7 @@ func selectivity(lineitem *engine.Table, p predicate.Predicate) float64 {
 	if lineitem.NumRows() == 0 {
 		return 1
 	}
-	kept := engine.Filter(lineitem, p)
+	kept := engine.FilterPar(lineitem, p, 1)
 	return float64(kept.NumRows()) / float64(lineitem.NumRows())
 }
 

@@ -120,7 +120,9 @@ func mulInt64(a, b int64) (int64, bool) {
 		return 0, true
 	}
 	p := a * b
-	if p/b != a {
+	// p/b == a alone misses MinInt64·−1: the product wraps to MinInt64,
+	// and Go defines MinInt64 / −1 as MinInt64 too.
+	if p/b != a || (a == math.MinInt64 && b == -1) {
 		return 0, false
 	}
 	return p, true

@@ -1,6 +1,7 @@
 package predicate
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -53,6 +54,23 @@ func TestEvalArithmetic(t *testing.T) {
 		got := EvalExpr(c.e, tu)
 		if got.Null != c.want.Null || got.Int != c.want.Int || got.Real != c.want.Real {
 			t.Errorf("%s: got %+v, want %+v", c.e, got, c.want)
+		}
+	}
+}
+
+// TestEvalMinInt64TimesMinusOne pins the overflow check of integer
+// multiplication in both operand orders: MinInt64·−1 = 2⁶³ does not fit
+// int64, so Eval must widen it to float64 instead of wrapping back to
+// MinInt64.
+func TestEvalMinInt64TimesMinusOne(t *testing.T) {
+	a := Col("a", TypeInteger)
+	tu := tup(map[string]int64{"a": math.MinInt64})
+	for _, e := range []Expr{Mul(a, IntConst(-1)), Mul(IntConst(-1), a)} {
+		if got, want := EvalExpr(e, tu), RealVal(-float64(math.MinInt64)); got != want {
+			t.Errorf("%s at a = MinInt64: got %+v, want %+v", e, got, want)
+		}
+		if got := Eval(Cmp(CmpGT, e, IntConst(0)), tu); got != True {
+			t.Errorf("%s > 0 at a = MinInt64: got %v, want TRUE", e, got)
 		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 
 	"sia/internal/engine"
 	"sia/internal/predicate"
+	"sia/internal/predtest"
 )
 
 // testSchema covers all four column types plus a nullable column.
@@ -215,71 +216,31 @@ func TestOpenSegmentMissingFile(t *testing.T) {
 	}
 }
 
-// TestZoneMapSoundness is the pruning safety property: for random
-// predicates over random segments, every truth value predicate.Eval
-// produces on some row must be contained in evalTruth's abstract set. In
-// particular a pruned segment (TRUE not in the set) must have no TRUE row.
+// TestZoneMapSoundness is the pruning safety property over segments that
+// went through the file format: for random predicates over random rows, a
+// segment whose footer says no row may be TRUE has no row predicate.Eval
+// makes TRUE.
 func TestZoneMapSoundness(t *testing.T) {
-	r := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 300; trial++ {
-		tbl := buildTable(t, 50, int64(trial))
-		path := writeTestSegment(t, tbl)
-		seg, err := OpenSegment(path)
+	for trial := int64(0); trial < 300; trial++ {
+		g := predtest.NewGen(trial)
+		tbl := engine.NewTable("t", g.Schema())
+		for _, row := range g.Rows(50) {
+			tbl.AppendRow(row...)
+		}
+		seg, err := OpenSegment(writeTestSegment(t, tbl))
 		if err != nil {
 			t.Fatal(err)
 		}
-		p := randPredicate(r, 3)
-		set := evalTruth(p, seg.meta.stats())
+		p := g.Predicate(3)
+		if seg.CanMatch(predicate.Compile(p)) {
+			continue
+		}
 		for row := 0; row < tbl.NumRows(); row++ {
-			got := predicate.Eval(p, tbl.Tuple(row))
-			if set&triBit(got) == 0 {
-				t.Fatalf("trial %d: predicate %s evaluates to %v on row %d but abstract set is %03b",
-					trial, p.String(), got, row, set)
+			if predicate.Satisfies(p, tbl.Tuple(row)) {
+				t.Fatalf("trial %d: %s pruned the segment, but row %d %v is TRUE",
+					trial, p, row, tbl.Tuple(row))
 			}
 		}
-	}
-}
-
-// randPredicate builds a random predicate over the test schema's integral
-// columns (plus the occasional double, which the evaluator must widen on).
-func randPredicate(r *rand.Rand, depth int) predicate.Predicate {
-	if depth <= 0 || r.Intn(3) == 0 {
-		ops := []predicate.CmpOp{
-			predicate.CmpLT, predicate.CmpGT, predicate.CmpLE,
-			predicate.CmpGE, predicate.CmpEQ, predicate.CmpNE,
-		}
-		return predicate.Cmp(ops[r.Intn(len(ops))], randExpr(r, 2), randExpr(r, 2))
-	}
-	switch r.Intn(3) {
-	case 0:
-		return predicate.NewAnd(randPredicate(r, depth-1), randPredicate(r, depth-1))
-	case 1:
-		return predicate.NewOr(randPredicate(r, depth-1), randPredicate(r, depth-1))
-	default:
-		return &predicate.Not{P: randPredicate(r, depth-1)}
-	}
-}
-
-func randExpr(r *rand.Rand, depth int) predicate.Expr {
-	if depth <= 0 || r.Intn(2) == 0 {
-		switch r.Intn(4) {
-		case 0:
-			return predicate.Col("id", predicate.TypeInteger)
-		case 1:
-			return predicate.Col("d", predicate.TypeDate)
-		case 2:
-			return predicate.Col("ts", predicate.TypeTimestamp)
-		default:
-			return predicate.IntConst(r.Int63n(5000) - 2500)
-		}
-	}
-	switch r.Intn(3) {
-	case 0:
-		return predicate.Add(randExpr(r, depth-1), randExpr(r, depth-1))
-	case 1:
-		return predicate.Sub(randExpr(r, depth-1), randExpr(r, depth-1))
-	default:
-		return predicate.Mul(predicate.IntConst(r.Int63n(5)-2), randExpr(r, depth-1))
 	}
 }
 

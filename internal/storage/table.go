@@ -146,19 +146,24 @@ func (st *SegmentTable) AppendRange(t *engine.Table, lo, hi int) error {
 }
 
 // ScanFilter scans the table and returns the rows satisfying p (all rows
-// when p is nil), evaluated on par workers. Segments whose zone maps prove
-// p cannot be TRUE on any row are skipped without reading their column
-// pages; the rest are loaded, checksum-verified, filtered, and
-// concatenated in segment order. The result is value-identical to
-// engine.FilterPar over the in-memory concatenation of every segment.
+// when p is nil), evaluated on par workers. p is compiled once per scan;
+// segments whose zone maps prove it cannot be TRUE on any row are skipped
+// without reading their column pages, and the rest are loaded,
+// checksum-verified, filtered, and concatenated in segment order. The
+// result is value-identical to engine.FilterPar over the in-memory
+// concatenation of every segment.
 func (st *SegmentTable) ScanFilter(p predicate.Predicate, par int) (*engine.Table, error) {
 	st.mu.RLock()
 	segs := append([]*Segment(nil), st.segs...)
 	st.mu.RUnlock()
 
+	var prog *predicate.Program
+	if p != nil {
+		prog = predicate.Compile(p)
+	}
 	var parts []*engine.Table
 	for _, seg := range segs {
-		if !seg.CanMatch(p) {
+		if !seg.CanMatch(prog) {
 			mSegmentsPruned.Inc()
 			continue
 		}
@@ -166,8 +171,8 @@ func (st *SegmentTable) ScanFilter(p predicate.Predicate, par int) (*engine.Tabl
 		if err != nil {
 			return nil, err
 		}
-		if p != nil {
-			t = engine.FilterPar(t, p, par)
+		if prog != nil {
+			t = engine.FilterProgram(t, prog, par)
 		}
 		parts = append(parts, t)
 	}

@@ -1,281 +1,121 @@
 package storage
 
 import (
-	"math/big"
+	"fmt"
 
 	"sia/internal/predicate"
 )
 
-// Zone-map pruning is a tiny abstract interpretation: each segment is
-// summarized by per-column intervals (the footer's min/max over non-NULL
-// values) plus NULL presence, and a predicate is evaluated over that
-// summary into the *set* of three-valued truth outcomes its rows could
-// produce. A scan may skip a segment exactly when TRUE is not in that set —
-// SQL filters keep only TRUE rows, so a segment that can yield at most
-// FALSE/UNKNOWN contributes nothing.
+// Zone-map pruning asks one question of a compiled predicate: may some row
+// of the segment make it TRUE? SQL filters keep only TRUE rows, so a
+// segment where no row can be TRUE contributes nothing and is skipped
+// without reading a column page. predicate.Compile has already pushed
+// every NOT into the comparisons, so the question splits along the
+// program: an AND may be TRUE when every operand may be, an OR when some
+// operand may be, and an atom is answered from the footer's per-column
+// min/max and NULL counts.
 //
-// The evaluation is a sound over-approximation: anything it cannot bound
-// (non-linear expressions, DOUBLE columns, columns the segment does not
-// carry) widens to "any outcome", which can only prevent pruning, never
-// cause a wrong skip. Soundness is pinned by a property test that checks
-// the abstract truth set against row-by-row predicate.Eval on random
-// segments.
+// The answer is a sound over-approximation: anything the zone maps cannot
+// bound (residual atoms, DOUBLE columns, columns the segment does not
+// carry, a linear form that fails the overflow guard) answers "may be
+// TRUE", which can only prevent pruning, never cause a wrong skip.
+// Soundness is pinned by a differential property test against row-by-row
+// predicate.Eval.
 
-// truthSet is a bitmask over the three-valued logic outcomes a predicate
-// can take on some row of a segment.
-type truthSet uint8
-
-const (
-	canTrue truthSet = 1 << iota
-	canFalse
-	canUnknown
-
-	truthAny = canTrue | canFalse | canUnknown
-)
-
-// colStat is the per-column abstraction the evaluator consumes.
-type colStat struct {
-	typ predicate.Type
-	zm  ZoneMap
-}
-
-// stats returns the segment's column summaries keyed by name.
-func (m *segMeta) stats() map[string]colStat {
-	out := make(map[string]colStat, len(m.cols()))
-	for i, c := range m.cols() {
-		out[c.Name] = colStat{typ: c.Type, zm: m.zones[i]}
-	}
-	return out
-}
-
-// evalTruth abstractly evaluates p over the column summaries, returning
-// every truth value some row could produce.
-func evalTruth(p predicate.Predicate, stats map[string]colStat) truthSet {
-	switch x := p.(type) {
-	case *predicate.Literal:
-		if x.B {
-			return canTrue
-		}
-		return canFalse
-	case *predicate.Not:
-		return evalTruth(x.P, stats).negate()
-	case *predicate.And:
-		// Empty AND is TRUE (mirrors the evaluator).
-		s := truthSet(canTrue)
-		for _, q := range x.Preds {
-			s = combine(s, evalTruth(q, stats), kleeneAnd)
-		}
-		return s
-	case *predicate.Or:
-		s := truthSet(canFalse)
-		for _, q := range x.Preds {
-			s = combine(s, evalTruth(q, stats), kleeneOr)
-		}
-		return s
-	case *predicate.Compare:
-		return evalCompare(x, stats)
-	default:
-		return truthAny
-	}
-}
-
-func (s truthSet) negate() truthSet {
-	out := s & canUnknown
-	if s&canTrue != 0 {
-		out |= canFalse
-	}
-	if s&canFalse != 0 {
-		out |= canTrue
-	}
-	return out
-}
-
-// combine lifts a three-valued connective to truth sets pointwise: the
-// result contains op(a, b) for every a in s1 and b in s2.
-func combine(s1, s2 truthSet, op func(a, b predicate.TriBool) predicate.TriBool) truthSet {
-	var out truthSet
-	for _, a := range triValues(s1) {
-		for _, b := range triValues(s2) {
-			out |= triBit(op(a, b))
-		}
-	}
-	return out
-}
-
-func triValues(s truthSet) []predicate.TriBool {
-	out := make([]predicate.TriBool, 0, 3)
-	if s&canTrue != 0 {
-		out = append(out, predicate.True)
-	}
-	if s&canFalse != 0 {
-		out = append(out, predicate.False)
-	}
-	if s&canUnknown != 0 {
-		out = append(out, predicate.Unknown)
-	}
-	return out
-}
-
-func triBit(v predicate.TriBool) truthSet {
-	switch v {
-	case predicate.True:
-		return canTrue
-	case predicate.False:
-		return canFalse
-	default:
-		return canUnknown
-	}
-}
-
-func kleeneAnd(a, b predicate.TriBool) predicate.TriBool {
-	switch {
-	// tribool: this IS the Kleene AND truth table — False absorbs, and the
-	// next case keeps Unknown distinct from True.
-	case a == predicate.False || b == predicate.False:
-		return predicate.False
-	case a == predicate.Unknown || b == predicate.Unknown:
-		return predicate.Unknown
-	default:
-		return predicate.True
-	}
-}
-
-func kleeneOr(a, b predicate.TriBool) predicate.TriBool {
-	switch {
-	// tribool: this IS the Kleene OR truth table — True absorbs, and the
-	// next case keeps Unknown distinct from False.
-	case a == predicate.True || b == predicate.True:
-		return predicate.True
-	case a == predicate.Unknown || b == predicate.Unknown:
-		return predicate.Unknown
-	default:
-		return predicate.False
-	}
-}
-
-// evalCompare bounds Left−Right by exact interval arithmetic over the
-// column min/max summaries and reads the comparison's possible outcomes
-// off the interval's position relative to zero. NULLs in a referenced
-// column add UNKNOWN; an all-NULL referenced column forces UNKNOWN for
-// every row; anything unboundable widens to truthAny.
-//
-// NULL handling walks the *syntactic* column set, not the linear form's
-// coefficients: a column can vanish from the linear form (0*ts, ts-ts) yet
-// still poison the expression with NULL, because NULL propagates through
-// arithmetic regardless of its coefficient.
-func evalCompare(c *predicate.Compare, stats map[string]colStat) truthSet {
-	hasNull := false
-	refd := predicate.ExprColumns(c.Left, nil)
-	refd = predicate.ExprColumns(c.Right, refd)
-	for _, col := range refd {
-		st, ok := stats[col]
-		if !ok || !st.typ.Integral() {
-			return truthAny // column not summarized as an int64 interval
-		}
-		if !st.zm.HasValues {
-			// Every row's value is NULL: the whole comparison is UNKNOWN
-			// on every row, regardless of the other terms.
-			return canUnknown
-		}
-		if st.zm.NullCount > 0 {
-			hasNull = true
-		}
-	}
-
-	lhs, err := predicate.Linearize(c.Left)
-	if err != nil {
-		return truthAny
-	}
-	rhs, err := predicate.Linearize(c.Right)
-	if err != nil {
-		return truthAny
-	}
-	diff := lhs.Clone()
-	diff.AddScaled(rhs, big.NewRat(-1, 1))
-
-	lo := new(big.Rat).Set(diff.Const)
-	hi := new(big.Rat).Set(diff.Const)
-	for col, coeff := range diff.Coeffs {
-		st := stats[col] // present and integral: checked above
-		cmin := new(big.Rat).SetInt64(st.zm.Min)
-		cmax := new(big.Rat).SetInt64(st.zm.Max)
-		if coeff.Sign() >= 0 {
-			lo.Add(lo, new(big.Rat).Mul(coeff, cmin))
-			hi.Add(hi, new(big.Rat).Mul(coeff, cmax))
-		} else {
-			lo.Add(lo, new(big.Rat).Mul(coeff, cmax))
-			hi.Add(hi, new(big.Rat).Mul(coeff, cmin))
-		}
-	}
-
-	s := intervalOutcomes(c.Op, lo, hi)
-	if hasNull {
-		s |= canUnknown
-	}
-	return s
-}
-
-// intervalOutcomes returns the outcomes of "x op 0" over x ∈ [lo, hi].
-func intervalOutcomes(op predicate.CmpOp, lo, hi *big.Rat) truthSet {
-	var s truthSet
-	loSign, hiSign := lo.Sign(), hi.Sign()
-	point := lo.Cmp(hi) == 0
-	switch op {
-	case predicate.CmpLT:
-		if loSign < 0 {
-			s |= canTrue
-		}
-		if hiSign >= 0 {
-			s |= canFalse
-		}
-	case predicate.CmpLE:
-		if loSign <= 0 {
-			s |= canTrue
-		}
-		if hiSign > 0 {
-			s |= canFalse
-		}
-	case predicate.CmpGT:
-		if hiSign > 0 {
-			s |= canTrue
-		}
-		if loSign <= 0 {
-			s |= canFalse
-		}
-	case predicate.CmpGE:
-		if hiSign >= 0 {
-			s |= canTrue
-		}
-		if loSign < 0 {
-			s |= canFalse
-		}
-	case predicate.CmpEQ:
-		if loSign <= 0 && hiSign >= 0 {
-			s |= canTrue
-		}
-		if !(point && loSign == 0) {
-			s |= canFalse
-		}
-	case predicate.CmpNE:
-		if !(point && loSign == 0) {
-			s |= canTrue
-		}
-		if loSign <= 0 && hiSign >= 0 {
-			s |= canFalse
-		}
-	default:
-		return truthAny
-	}
-	return s
-}
-
-// CanMatch reports whether some row of the segment could satisfy p
+// CanMatch reports whether some row of the segment may satisfy prog
 // (evaluate to TRUE). A false return is a proof from the zone maps that a
 // scan may skip the segment without reading any column page. A nil
-// predicate matches everything.
-func (s *Segment) CanMatch(p predicate.Predicate) bool {
-	if p == nil {
+// program matches everything.
+func (s *Segment) CanMatch(prog *predicate.Program) bool {
+	return prog == nil || s.meta.mayBeTrue(prog)
+}
+
+func (m *segMeta) mayBeTrue(p *predicate.Program) bool {
+	switch p.Kind {
+	case predicate.ProgAnd:
+		for _, q := range p.Args {
+			if !m.mayBeTrue(q) {
+				return false
+			}
+		}
+		return true
+	case predicate.ProgOr:
+		for _, q := range p.Args {
+			if m.mayBeTrue(q) {
+				return true
+			}
+		}
+		return false
+	case predicate.ProgAtom:
+		return m.atomMayBeTrue(p.Atom)
+	default:
+		panic(fmt.Sprintf("storage: unknown program node %d", p.Kind))
+	}
+}
+
+// atomMayBeTrue answers for one comparison. A column that is NULL on every
+// row makes the comparison UNKNOWN on every row, whatever its coefficient
+// and whether or not the atom is linear. Otherwise a linear atom that
+// passes the overflow guard with the columns' zone magnitudes has
+// Σ cᵢxᵢ + k bounded to [lo, hi] in exact int64 arithmetic, and the
+// comparison against zero may be TRUE somewhere in that interval.
+func (m *segMeta) atomMayBeTrue(a *predicate.Atom) bool {
+	bounded := true
+	for _, col := range a.Cols {
+		zm, ok := m.intZone(col)
+		if ok && !zm.HasValues {
+			return false
+		}
+		bounded = bounded && ok
+	}
+	if !bounded || !a.FitsInt64(func(col string) uint64 {
+		zm, _ := m.intZone(col)
+		return zm.magnitude()
+	}) {
 		return true
 	}
-	return evalTruth(p, s.meta.stats())&canTrue != 0
+	lo, hi := a.K, a.K
+	for _, t := range a.Terms {
+		zm, _ := m.intZone(t.Col)
+		if t.Coef > 0 {
+			lo += t.Coef * zm.Min
+			hi += t.Coef * zm.Max
+		} else {
+			lo += t.Coef * zm.Max
+			hi += t.Coef * zm.Min
+		}
+	}
+	switch a.Op {
+	case predicate.CmpLT:
+		return lo < 0
+	case predicate.CmpEQ:
+		return lo <= 0 && hi >= 0
+	case predicate.CmpNE:
+		return lo != 0 || hi != 0
+	default:
+		panic(fmt.Sprintf("storage: linear atom with operator %v", a.Op))
+	}
+}
+
+// intZone returns the zone map of the named column when the segment has
+// it as an integral column, the only kind whose min/max bound its values.
+func (m *segMeta) intZone(name string) (ZoneMap, bool) {
+	for i, c := range m.cols() {
+		if c.Name == name {
+			return m.zones[i], c.Type.Integral()
+		}
+	}
+	return ZoneMap{}, false
+}
+
+// magnitude bounds |v| over the zone's values, including |MinInt64| = 2⁶³.
+func (z ZoneMap) magnitude() uint64 {
+	lo, hi := uint64(-z.Min), uint64(z.Max)
+	if z.Min >= 0 {
+		lo = 0
+	}
+	if z.Max < 0 {
+		hi = 0
+	}
+	return max(lo, hi)
 }
