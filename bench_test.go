@@ -56,7 +56,7 @@ func fig9(b *testing.B) []experiments.RuntimeRecord {
 // BenchmarkMotivatingExample reproduces §2: the hand-rewritten Q2 vs Q1.
 func BenchmarkMotivatingExample(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		m, err := experiments.Motivating(1)
+		m, err := experiments.Motivating(1, benchCfg.Parallelism)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -254,7 +254,7 @@ func BenchmarkEngineJoin(b *testing.B) {
 	liPred := predtest.MustParse("l_shipdate < DATE '1993-06-20'", tpch.LineitemSchema())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out, _, err := engine.HashJoinWhere(lineitem, orders, "l_orderkey", "o_orderkey", liPred, oPred)
+		out, _, err := engine.HashJoinWherePar(lineitem, orders, "l_orderkey", "o_orderkey", liPred, oPred, 1)
 		if err != nil {
 			b.Fatal(err)
 		}

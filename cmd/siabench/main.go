@@ -180,7 +180,7 @@ func run() error {
 	}
 	if run["motivating"] {
 		for _, sf := range sfs {
-			m, err := experiments.Motivating(sf)
+			m, err := experiments.Motivating(sf, *parallelism)
 			if err != nil {
 				return err
 			}

@@ -430,15 +430,17 @@ func (c *Cache) RegisterMetrics(reg *obs.Registry) error {
 }
 
 // Synthesizer couples a Cache with core.SynthesizeContext: the drop-in
-// cached form of the synthesis entry point.
+// cached form of the synthesis entry point. The embedded Cache's methods
+// (Peek, Put, Export, Do, Stats, RegisterMetrics, SetTracer, …) act on
+// the synthesizer's results directly.
 type Synthesizer struct {
-	cache *Cache
+	*Cache
 }
 
 // NewSynthesizer returns a cached synthesizer bounded to capacity results
 // (DefaultCapacity when capacity is <= 0).
 func NewSynthesizer(capacity int) *Synthesizer {
-	return &Synthesizer{cache: New(capacity)}
+	return &Synthesizer{Cache: New(capacity)}
 }
 
 // Synthesize is core.SynthesizeContext memoized through the cache. cached
@@ -455,7 +457,7 @@ func (s *Synthesizer) Synthesize(ctx context.Context, p predicate.Predicate, col
 		res, err := core.SynthesizeContext(ctx, p, cols, schema, opts)
 		return res, false, err
 	}
-	return s.cache.DoTagged(ctx, key, visibleColumns(p, cols), func(runCtx context.Context) (*core.Result, error) {
+	return s.DoTagged(ctx, key, visibleColumns(p, cols), func(runCtx context.Context) (*core.Result, error) {
 		return core.SynthesizeContext(runCtx, p, cols, schema, opts)
 	})
 }
@@ -486,34 +488,5 @@ func visibleColumns(p predicate.Predicate, cols []string) []string {
 // predicate's selectivity or even its validity, so results over the
 // touched columns must be re-synthesized, not served stale.
 func (s *Synthesizer) InvalidateColumns(cols []string) int {
-	return s.cache.InvalidateTags(cols)
+	return s.InvalidateTags(cols)
 }
-
-// Peek returns the cached result for key without synthesizing on a miss.
-func (s *Synthesizer) Peek(key string) (*core.Result, bool) { return s.cache.Peek(key) }
-
-// Put stores res under key without counting a miss (snapshot restore and
-// batched group fills).
-func (s *Synthesizer) Put(key string, res *core.Result) { s.cache.Put(key, res) }
-
-// Export returns the stored entries, most recently used first.
-func (s *Synthesizer) Export() []Entry { return s.cache.Export() }
-
-// Do runs the cache's memoized computation under an explicit key. The
-// serving tier's batcher uses it to run grouped synthesis through the same
-// singleflight machinery as ordinary requests.
-func (s *Synthesizer) Do(ctx context.Context, key string, fn func(context.Context) (*core.Result, error)) (*core.Result, bool, error) {
-	return s.cache.Do(ctx, key, fn)
-}
-
-// Stats returns the underlying cache's counters.
-func (s *Synthesizer) Stats() Stats { return s.cache.Stats() }
-
-// RegisterMetrics exposes the underlying cache's metrics in reg.
-func (s *Synthesizer) RegisterMetrics(reg *obs.Registry) error {
-	return s.cache.RegisterMetrics(reg)
-}
-
-// SetTracer attaches a tracer to the underlying cache. Safe to call
-// concurrently with Synthesize.
-func (s *Synthesizer) SetTracer(t *obs.Tracer) { s.cache.SetTracer(t) }

@@ -196,26 +196,26 @@ func TestHashJoinBuildSideChoice(t *testing.T) {
 
 func TestProject(t *testing.T) {
 	tab := buildSmall(t, [][2]int64{{1, 10}, {2, 20}})
-	out, err := Project(tab, []string{"v"})
+	out, err := ProjectPar(tab, []string{"v"}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(out.Schema().Columns()) != 1 || out.Value(1, "v").Int != 20 {
 		t.Fatalf("projection broken")
 	}
-	if _, err := Project(tab, []string{"nope"}); err == nil {
+	if _, err := ProjectPar(tab, []string{"nope"}, 1); err == nil {
 		t.Fatal("unknown column should error")
 	}
 }
 
 func TestAggregate(t *testing.T) {
 	tab := buildSmall(t, [][2]int64{{1, 10}, {1, 20}, {2, 5}, {2, 7}, {2, 9}})
-	out, err := Aggregate(tab, []string{"id"}, []AggSpec{
+	out, err := AggregatePar(tab, []string{"id"}, []AggSpec{
 		{Func: AggCount, As: "n"},
 		{Func: AggSum, Col: "v", As: "s"},
 		{Func: AggMin, Col: "v", As: "lo"},
 		{Func: AggMax, Col: "v", As: "hi"},
-	})
+	}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestAggregate(t *testing.T) {
 		t.Fatalf("group 2 wrong: %v", row1)
 	}
 	// Global aggregation (no GROUP BY) yields one row.
-	g, err := Aggregate(tab, nil, []AggSpec{{Func: AggCount, As: "n"}})
+	g, err := AggregatePar(tab, nil, []AggSpec{{Func: AggCount, As: "n"}}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -126,11 +126,11 @@ func gatherInto(out, src *Table, cols []string, rows []int, par int) {
 	})
 }
 
-// HashJoin performs an inner equi-join of l and r on integral key columns.
-// The output schema is the concatenation of both schemas (column names must
-// be disjoint). NULL keys never match, per SQL semantics.
+// HashJoin performs an inner equi-join of l and r on integral key columns,
+// serially. The output schema is the concatenation of both schemas (column
+// names must be disjoint). NULL keys never match, per SQL semantics.
 func HashJoin(l, r *Table, lkey, rkey string) (*Table, error) {
-	out, _, err := HashJoinWhere(l, r, lkey, rkey, nil, nil)
+	out, _, err := HashJoinWherePar(l, r, lkey, rkey, nil, nil, 1)
 	return out, err
 }
 
@@ -140,24 +140,21 @@ type JoinStats struct {
 	LeftIn, RightIn int
 }
 
-// HashJoinWhere is HashJoin with per-side residual predicates fused into
-// the build and probe phases: rows failing their side's predicate are
-// skipped before touching the hash table, and no intermediate filtered
-// table is materialized. This is how real engines execute a pushed-down
-// filter, and it is what makes predicate pushdown pay off: the saved work
-// is hash probes and output materialization, while the added work is one
-// predicate evaluation per scanned row.
-func HashJoinWhere(l, r *Table, lkey, rkey string, lpred, rpred predicate.Predicate) (*Table, JoinStats, error) {
-	return HashJoinWherePar(l, r, lkey, rkey, lpred, rpred, 1)
-}
-
-// HashJoinWherePar is HashJoinWhere on par workers (par <= 0 means
-// DefaultParallelism). The build side is hash-partitioned into per-worker
-// maps (each partition owner scans the build column and keeps only its
-// keys, so no insert ever races), probe morsels run concurrently against
-// the read-only partitions into per-morsel match buffers, and the buffers
-// are stitched back in morsel order — exactly the serial probe order — so
-// the output is byte-identical to the serial engine at any worker count.
+// HashJoinWherePar is HashJoin with per-side residual predicates fused
+// into the build and probe phases, on par workers (par <= 0 means
+// DefaultParallelism). Rows failing their side's predicate are skipped
+// before touching the hash table, and no intermediate filtered table is
+// materialized. This is how real engines execute a pushed-down filter, and
+// it is what makes predicate pushdown pay off: the saved work is hash
+// probes and output materialization, while the added work is one predicate
+// evaluation per scanned row.
+//
+// The build side is hash-partitioned into per-worker maps (each partition
+// owner scans the build column and keeps only its keys, so no insert ever
+// races), probe morsels run concurrently against the read-only partitions
+// into per-morsel match buffers, and the buffers are stitched back in
+// morsel order — exactly the serial probe order — so the output is
+// byte-identical at any worker count.
 func HashJoinWherePar(l, r *Table, lkey, rkey string, lpred, rpred predicate.Predicate, par int) (*Table, JoinStats, error) {
 	defer observeOp(opJoin, time.Now())
 	var stats JoinStats
@@ -298,16 +295,11 @@ func partitionCount(par, buildRows int) int {
 	return n
 }
 
-// Project returns a table with only the named columns, serially. See
-// ProjectPar.
-func Project(t *Table, cols []string) (*Table, error) {
-	return ProjectPar(t, cols, 1)
-}
-
-// ProjectPar is Project on par workers (par <= 0 means DefaultParallelism).
-// Projection never touches row values: it reuses the columnar gather path
-// to copy each kept column's backing arrays, morsel-parallel, instead of
-// materializing rows one at a time.
+// ProjectPar returns a table with only the named columns, on par workers
+// (par <= 0 means DefaultParallelism). Projection never touches row
+// values: it reuses the columnar gather path to copy each kept column's
+// backing arrays, morsel-parallel, instead of materializing rows one at a
+// time.
 func ProjectPar(t *Table, cols []string, par int) (*Table, error) {
 	defer observeOp(opProject, time.Now())
 	var sub []predicate.Column

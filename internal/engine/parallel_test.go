@@ -127,7 +127,7 @@ func TestParallelHashJoinMatchesSerial(t *testing.T) {
 		{lp, nil},
 		{lp, rp},
 	} {
-		ref, refStats, err := HashJoinWhere(l, rt, "lk", "rk", preds.lp, preds.rp)
+		ref, refStats, err := HashJoinWherePar(l, rt, "lk", "rk", preds.lp, preds.rp, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -145,7 +145,7 @@ func TestParallelHashJoinMatchesSerial(t *testing.T) {
 		}
 	}
 	// Flip which side builds: the small side of the pair above probes.
-	ref, _, err := HashJoinWhere(rt, l, "rk", "lk", rp, lp)
+	ref, _, err := HashJoinWherePar(rt, l, "rk", "lk", rp, lp, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestParallelAggregateMatchesSerial(t *testing.T) {
 		{[]string{"tk", "tn"}, []AggSpec{{Func: AggSum, Col: "tb", As: "s"}}},
 	}
 	for ci, c := range cases {
-		ref, err := Aggregate(tab, c.groupBy, c.aggs)
+		ref, err := AggregatePar(tab, c.groupBy, c.aggs, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -198,7 +198,7 @@ func TestParallelAggregateMatchesSerial(t *testing.T) {
 func TestParallelProjectMatchesSerial(t *testing.T) {
 	r := rand.New(rand.NewSource(17))
 	tab := randomTable(r, "t", 2*morselRows+9)
-	ref, err := Project(tab, []string{"tn", "ta"})
+	ref, err := ProjectPar(tab, []string{"tn", "ta"}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,12 +238,12 @@ func TestAggregateNullSemantics(t *testing.T) {
 	} {
 		tab.AppendRow(row[0], row[1])
 	}
-	out, err := Aggregate(tab, []string{"g"}, []AggSpec{
+	out, err := AggregatePar(tab, []string{"g"}, []AggSpec{
 		{Func: AggCount, As: "n"},
 		{Func: AggSum, Col: "v", As: "s"},
 		{Func: AggMin, Col: "v", As: "lo"},
 		{Func: AggMax, Col: "v", As: "hi"},
-	})
+	}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +275,7 @@ func TestAggregateNullSemantics(t *testing.T) {
 	clamp := NewTable("c", s)
 	clamp.AppendRow(iv(1), null)
 	clamp.AppendRow(iv(1), iv(5))
-	out, err = Aggregate(clamp, []string{"g"}, []AggSpec{{Func: AggMin, Col: "v", As: "lo"}})
+	out, err = AggregatePar(clamp, []string{"g"}, []AggSpec{{Func: AggMin, Col: "v", As: "lo"}}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +283,7 @@ func TestAggregateNullSemantics(t *testing.T) {
 		t.Fatalf("MIN with a NULL input = %v, want 5", got)
 	}
 
-	if _, err := Aggregate(tab, []string{"g"}, []AggSpec{{Func: AggSum, Col: "missing", As: "s"}}); err == nil {
+	if _, err := AggregatePar(tab, []string{"g"}, []AggSpec{{Func: AggSum, Col: "missing", As: "s"}}, 1); err == nil {
 		t.Fatal("unknown aggregate input column should error")
 	}
 }

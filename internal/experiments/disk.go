@@ -4,15 +4,14 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"path/filepath"
 	"sort"
-	"strings"
 
 	"sia/internal/cache"
 	"sia/internal/core"
 	"sia/internal/engine"
 	"sia/internal/plan"
 	"sia/internal/predicate"
-	"sia/internal/sql"
 	"sia/internal/storage"
 	"sia/internal/tpch"
 	"sia/internal/workload"
@@ -21,59 +20,6 @@ import (
 // DefaultSegmentRows is the ingestion batch size of the disk experiment:
 // each segment file holds this many rows (except the final remainder).
 const DefaultSegmentRows = 8192
-
-// DiskRecord is one query's disk-backed runtime comparison at one scale
-// factor: the Fig. 9 measurement repeated over segment storage, where a
-// Sia rewrite's synthesized predicate additionally prunes segments via
-// zone maps.
-type DiskRecord struct {
-	QueryID     int     `json:"query_id"`
-	ScaleFactor float64 `json:"scale_factor"`
-	// Rewritten reports whether Sia produced a valid lineitem-side
-	// predicate for this query.
-	Rewritten    bool   `json:"rewritten"`
-	SynthesisErr string `json:"synthesis_err,omitempty"`
-	// OriginalNs and RewrittenNs are the measured disk-plan times.
-	OriginalNs  int64 `json:"original_ns"`
-	RewrittenNs int64 `json:"rewritten_ns,omitempty"`
-	// Per-run storage activity (segments and bytes, per execution).
-	OrigScanned   uint64 `json:"orig_segments_scanned"`
-	OrigPruned    uint64 `json:"orig_segments_pruned"`
-	OrigBytesRead uint64 `json:"orig_bytes_read"`
-	RwScanned     uint64 `json:"rw_segments_scanned,omitempty"`
-	RwPruned      uint64 `json:"rw_segments_pruned,omitempty"`
-	RwBytesRead   uint64 `json:"rw_bytes_read,omitempty"`
-	OutputRows    int    `json:"output_rows"`
-}
-
-// Speedup returns original/rewritten (>1 means the rewrite won).
-func (r DiskRecord) Speedup() float64 {
-	if r.RewrittenNs == 0 {
-		return 1
-	}
-	return float64(r.OriginalNs) / float64(r.RewrittenNs)
-}
-
-// DiskSummary aggregates one scale factor.
-type DiskSummary struct {
-	ScaleFactor float64 `json:"scale_factor"`
-	Queries     int     `json:"queries"`
-	Rewritten   int     `json:"rewritten"`
-	Faster      int     `json:"faster"`
-	Faster2x    int     `json:"faster_2x"`
-	// MeanSpeedup and MedianSpeedup are over rewritten queries.
-	MeanSpeedup   float64 `json:"mean_speedup"`
-	MedianSpeedup float64 `json:"median_speedup"`
-	// SegmentsPruned is the total per-run segments skipped across the
-	// rewritten executions; PrunedFrac is the fraction of rewritten plans'
-	// candidate segments that zone maps eliminated.
-	SegmentsPruned uint64  `json:"segments_pruned"`
-	PrunedFrac     float64 `json:"pruned_frac"`
-	// BytesReadOrig and BytesReadRw total the per-run bytes the original
-	// and rewritten plans read.
-	BytesReadOrig uint64 `json:"bytes_read_orig"`
-	BytesReadRw   uint64 `json:"bytes_read_rw"`
-}
 
 // DiskProbe records the streaming-ingestion half of the experiment: after
 // the measurements, a segment append must invalidate cached synthesis
@@ -86,10 +32,10 @@ type DiskProbe struct {
 
 // DiskReport is the full fig9-disk result.
 type DiskReport struct {
-	SegmentRows int           `json:"segment_rows"`
-	Summaries   []DiskSummary `json:"summaries"`
-	Probe       DiskProbe     `json:"probe"`
-	Records     []DiskRecord  `json:"records"`
+	SegmentRows int             `json:"segment_rows"`
+	Summaries   []Fig9Summary   `json:"summaries"`
+	Probe       DiskProbe       `json:"probe"`
+	Records     []RuntimeRecord `json:"records"`
 }
 
 // sortByColumn returns t's rows stably reordered by ascending col — the
@@ -124,20 +70,20 @@ func ingest(dir string, t *engine.Table, segRows int) (*storage.SegmentTable, er
 	return st, nil
 }
 
-// Fig9Disk runs the disk-backed runtime experiment: TPC-H data is sorted
-// by its date column (time-ordered ingestion), written as zone-mapped
-// segment files, and every benchmark query executes twice — the original
-// plan, whose lineitem scan reads every segment, and the Sia-rewritten
-// plan, whose synthesized lineitem predicate prunes segments before their
-// pages are read. Results are checked value-identical between the two
-// plans and against the in-memory engine.
+// Fig9Disk runs the Fig. 9 loop over disk: at each scale factor the TPC-H
+// tables are sorted by their date column (time-ordered ingestion) and
+// written as zone-mapped segment files, so the original plan's lineitem
+// scan reads every segment while the Sia-rewritten plan's synthesized
+// lineitem predicate prunes segments before their pages are read. Every
+// query's original result is checked against the in-memory engine and
+// every rewritten result against the original, by digest. A streaming
+// append probe runs afterwards.
 func Fig9Disk(cfg Config) (*DiskReport, error) {
 	cfg = cfg.withDefaults()
 	if cfg.SegmentRows <= 0 {
 		cfg.SegmentRows = DefaultSegmentRows
 	}
 	queries := workload.Generate(workload.Config{N: cfg.Queries, Seed: cfg.Seed})
-	schema := tpch.JoinSchema()
 
 	root, err := os.MkdirTemp("", "sia-fig9-disk-*")
 	if err != nil {
@@ -145,173 +91,58 @@ func Fig9Disk(cfg Config) (*DiskReport, error) {
 	}
 	defer os.RemoveAll(root)
 
-	report := &DiskReport{SegmentRows: cfg.SegmentRows}
-	var probeTable *storage.SegmentTable // largest SF's lineitem, for the probe
-	var probeQuery *workload.Query
-
-	for sfIdx, sf := range cfg.ScaleFactors {
-		orders, lineitem := tpch.Generate(tpch.Config{ScaleFactor: sf})
-		orders, err := sortByColumn(orders, "o_orderdate")
-		if err != nil {
-			return nil, err
-		}
-		lineitem, err = sortByColumn(lineitem, "l_shipdate")
-		if err != nil {
-			return nil, err
-		}
-
-		sfDir := fmt.Sprintf("%s/sf%d", root, sfIdx)
-		ordersDir, lineitemDir := sfDir+"/orders", sfDir+"/lineitem"
-		for _, d := range []string{ordersDir, lineitemDir} {
-			if err := os.MkdirAll(d, 0o755); err != nil {
+	var lineitemDisk *storage.SegmentTable // the latest scale factor's, for the probe
+	records, err := runFig9(cfg, queries, func(sfIdx int, orders, lineitem *engine.Table) (*plan.Catalog, error) {
+		cat := plan.NewCatalog()
+		for _, t := range []struct {
+			table   *engine.Table
+			dateCol string
+		}{{orders, "o_orderdate"}, {lineitem, "l_shipdate"}} {
+			sorted, err := sortByColumn(t.table, t.dateCol)
+			if err != nil {
+				return nil, err
+			}
+			dir := filepath.Join(root, fmt.Sprintf("sf%d", sfIdx), t.table.Name)
+			if err := os.MkdirAll(dir, 0o755); err != nil {
 				return nil, fmt.Errorf("experiments: %w", err)
 			}
-		}
-		ordersDisk, err := ingest(ordersDir, orders, cfg.SegmentRows)
-		if err != nil {
-			return nil, err
-		}
-		lineitemDisk, err := ingest(lineitemDir, lineitem, cfg.SegmentRows)
-		if err != nil {
-			return nil, err
-		}
-
-		diskCat, memCat := plan.NewCatalog(), plan.NewCatalog()
-		diskCat.AddSource(ordersDisk)
-		diskCat.AddSource(lineitemDisk)
-		memCat.Add(orders)
-		memCat.Add(lineitem)
-
-		// The disk read path must reproduce the in-memory tables exactly.
-		for name, mem := range map[string]*engine.Table{"orders": orders, "lineitem": lineitem} {
-			src, err := diskCat.Source(name)
+			st, err := ingest(dir, sorted, cfg.SegmentRows)
 			if err != nil {
 				return nil, err
 			}
-			back, err := src.ScanFilter(nil, cfg.Parallelism)
+			// The disk read path must reproduce the in-memory table exactly.
+			back, err := st.ScanFilter(nil, cfg.Parallelism)
 			if err != nil {
 				return nil, err
 			}
-			if !engine.TablesEqual(mem, back) {
-				return nil, fmt.Errorf("experiments: disk table %s differs from in-memory data", name)
+			if !engine.TablesEqual(sorted, back) {
+				return nil, fmt.Errorf("experiments: disk table %s differs from in-memory data", t.table.Name)
+			}
+			cat.AddSource(st)
+			if t.table == lineitem {
+				lineitemDisk = st
 			}
 		}
-
-		summary := DiskSummary{ScaleFactor: sf, Queries: len(queries)}
-		var speedups []float64
-		const runs = 3
-		for qi, q := range queries {
-			rec := DiskRecord{QueryID: q.ID, ScaleFactor: sf}
-
-			parsed, err := sql.Parse(q.SQL(), diskCat)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: parse query %d: %w", q.ID, err)
-			}
-			node, err := parsed.Plan(diskCat)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: plan query %d: %w", q.ID, err)
-			}
-			origPlan := plan.PushDownFilters(node)
-
-			before := storage.SnapshotCounters()
-			origTable, origStats, err := executeBest(origPlan, diskCat, runs, cfg.Parallelism)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: execute query %d: %w", q.ID, err)
-			}
-			delta := storage.SnapshotCounters().Sub(before)
-			rec.OriginalNs = origStats.Elapsed.Nanoseconds()
-			rec.OrigScanned = delta.SegmentsScanned / runs
-			rec.OrigPruned = delta.SegmentsPruned / runs
-			rec.OrigBytesRead = delta.BytesRead / runs
-			rec.OutputRows = origTable.NumRows()
-			summary.BytesReadOrig += rec.OrigBytesRead
-
-			// The first query at each scale factor is additionally checked
-			// value-identical against the in-memory engine end to end.
-			if qi == 0 {
-				memTable, _, err := executeBest(origPlan, memCat, 1, cfg.Parallelism)
-				if err != nil {
-					return nil, err
-				}
-				if !engine.TablesEqual(memTable, origTable) {
-					return nil, fmt.Errorf("experiments: query %d disk result differs from in-memory engine", q.ID)
-				}
-			}
-
-			cols := lineitemCols(q.Pred)
-			if len(cols) > 0 {
-				opts := core.PresetSIA()
-				opts.MaxIterations = cfg.MaxIterations
-				opts.Tracer = cfg.Tracer
-				res, _, serr := fig9Synth.Synthesize(context.Background(), q.Pred, cols, schema, opts)
-				switch {
-				case serr != nil:
-					rec.SynthesisErr = serr.Error()
-				case res.Predicate != nil && res.Valid:
-					rec.Rewritten = true
-					rwNode := &plan.Filter{Pred: predicate.NewAnd(parsed.Where, res.Predicate), Input: join(node)}
-					rwPlan := plan.PushDownFilters(rwNode)
-					before := storage.SnapshotCounters()
-					rwTable, rwStats, err := executeBest(rwPlan, diskCat, runs, cfg.Parallelism)
-					if err != nil {
-						return nil, fmt.Errorf("experiments: execute rewritten %d: %w", q.ID, err)
-					}
-					delta := storage.SnapshotCounters().Sub(before)
-					// The rewrite may reorder join output (the smaller
-					// lineitem side can flip build/probe roles), so compare
-					// as row multisets rather than byte-for-byte.
-					if !sameRows(rwTable, origTable) {
-						return nil, fmt.Errorf("experiments: query %d rewrite changed results: %d vs %d rows",
-							q.ID, rwTable.NumRows(), origTable.NumRows())
-					}
-					rec.RewrittenNs = rwStats.Elapsed.Nanoseconds()
-					rec.RwScanned = delta.SegmentsScanned / runs
-					rec.RwPruned = delta.SegmentsPruned / runs
-					rec.RwBytesRead = delta.BytesRead / runs
-
-					summary.Rewritten++
-					summary.SegmentsPruned += rec.RwPruned
-					summary.BytesReadRw += rec.RwBytesRead
-					sp := rec.Speedup()
-					speedups = append(speedups, sp)
-					if sp >= 1 {
-						summary.Faster++
-					}
-					if sp >= 2 {
-						summary.Faster2x++
-					}
-					if probeQuery == nil && sfIdx == len(cfg.ScaleFactors)-1 {
-						qq := q
-						probeQuery = &qq
-					}
-				}
-			}
-			report.Records = append(report.Records, rec)
-		}
-		if n := summary.SegmentsPruned; n > 0 {
-			total := uint64(0)
-			for _, r := range report.Records {
-				if r.ScaleFactor == sf && r.Rewritten {
-					total += r.RwScanned + r.RwPruned
-				}
-			}
-			summary.PrunedFrac = float64(n) / float64(total)
-		}
-		summary.MeanSpeedup = mean(speedups)
-		summary.MedianSpeedup = median(speedups)
-		report.Summaries = append(report.Summaries, summary)
-
-		if sfIdx == len(cfg.ScaleFactors)-1 {
-			probeTable = lineitemDisk
-		}
-	}
-
-	probe, err := runDiskProbe(probeTable, probeQuery, schema, cfg)
+		return cat, nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	report.Probe = probe
-	return report, nil
+
+	// The probe synthesizes the first rewritten query of the last scale
+	// factor again.
+	var probeQuery *workload.Query
+	for i, r := range records[len(records)-len(queries):] {
+		if r.Rewritten {
+			probeQuery = &queries[i]
+			break
+		}
+	}
+	probe, err := runDiskProbe(lineitemDisk, probeQuery, tpch.JoinSchema(), cfg)
+	if err != nil {
+		return nil, err
+	}
+	return &DiskReport{SegmentRows: cfg.SegmentRows, Summaries: Summarize(records), Probe: probe, Records: records}, nil
 }
 
 // runDiskProbe exercises streaming ingestion against the synthesis cache:
@@ -363,62 +194,4 @@ func runDiskProbe(lineitemDisk *storage.SegmentTable, q *workload.Query, schema 
 	}
 	probe.ResynthesisMiss = !cached
 	return probe, nil
-}
-
-// sameRows reports whether two tables hold the same rows as multisets,
-// ignoring row order (join output order is plan-dependent).
-func sameRows(a, b *engine.Table) bool {
-	if a.NumRows() != b.NumRows() {
-		return false
-	}
-	cols := a.Schema().Columns()
-	fingerprint := func(t *engine.Table, row int) string {
-		var sb strings.Builder
-		for _, c := range cols {
-			v := t.Value(row, c.Name)
-			fmt.Fprintf(&sb, "%v|%v|%v;", v.Null, v.Int, v.Real)
-		}
-		return sb.String()
-	}
-	counts := make(map[string]int, a.NumRows())
-	for r := 0; r < a.NumRows(); r++ {
-		counts[fingerprint(a, r)]++
-	}
-	for r := 0; r < b.NumRows(); r++ {
-		k := fingerprint(b, r)
-		counts[k]--
-		if counts[k] == 0 {
-			delete(counts, k)
-		}
-	}
-	return len(counts) == 0
-}
-
-func median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	if len(s)%2 == 1 {
-		return s[len(s)/2]
-	}
-	return (s[len(s)/2-1] + s[len(s)/2]) / 2
-}
-
-// RenderDisk formats a DiskReport for terminal output.
-func RenderDisk(r *DiskReport) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "Fig. 9 (disk): segment storage with zone-map pruning, %d rows/segment\n", r.SegmentRows)
-	fmt.Fprintf(&sb, "%10s %8s %10s %7s %9s %13s %13s %11s\n",
-		"scale", "rewrit.", "faster", ">=2x", "pruned%", "mean spdup", "med spdup", "MB saved")
-	for _, s := range r.Summaries {
-		saved := float64(int64(s.BytesReadOrig)-int64(s.BytesReadRw)) / (1 << 20)
-		fmt.Fprintf(&sb, "%10.2f %8d %10d %7d %8.1f%% %12.2fx %12.2fx %10.1f\n",
-			s.ScaleFactor, s.Rewritten, s.Faster, s.Faster2x,
-			100*s.PrunedFrac, s.MeanSpeedup, s.MedianSpeedup, saved)
-	}
-	fmt.Fprintf(&sb, "streaming probe: append invalidated %d cached syntheses; re-synthesis missed the cache: %v\n",
-		r.Probe.InvalidatedEntries, r.Probe.ResynthesisMiss)
-	return sb.String()
 }

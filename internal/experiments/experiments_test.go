@@ -3,7 +3,6 @@ package experiments
 import (
 	"strings"
 	"testing"
-	"time"
 )
 
 // smallCfg keeps the experiment tests fast while still exercising every
@@ -165,7 +164,7 @@ func TestFig9AndSummaries(t *testing.T) {
 }
 
 func TestMotivating(t *testing.T) {
-	m, err := Motivating(0.2)
+	m, err := Motivating(0.2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,5 +188,4 @@ func TestConfigDefaults(t *testing.T) {
 	if len(cfg.ScaleFactors) != 2 {
 		t.Fatalf("default scale factors: %+v", cfg.ScaleFactors)
 	}
-	_ = time.Now() // keep time import if assertions change
 }

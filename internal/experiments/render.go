@@ -146,6 +146,23 @@ func RenderFig9(records []RuntimeRecord, summaries []Fig9Summary) string {
 	return b.String()
 }
 
+// RenderDisk formats a DiskReport for terminal output.
+func RenderDisk(r *DiskReport) string {
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "Fig. 9 (disk): segment storage with zone-map pruning, %d rows/segment\n", r.SegmentRows)
+	fmt.Fprintf(&sb, "%10s %8s %10s %7s %9s %13s %13s %11s\n",
+		"scale", "rewrit.", "faster", ">=2x", "pruned%", "mean spdup", "med spdup", "MB saved")
+	for _, s := range r.Summaries {
+		saved := float64(int64(s.BytesReadOrig)-int64(s.BytesReadRw)) / (1 << 20)
+		fmt.Fprintf(&sb, "%10.2f %8d %10d %7d %8.1f%% %12.2fx %12.2fx %10.1f\n",
+			s.ScaleFactor, s.Rewritten, s.Faster, s.Faster2x,
+			100*s.PrunedFrac, s.MeanSpeedup, s.MedianSpeedup, saved)
+	}
+	fmt.Fprintf(&sb, "streaming probe: append invalidated %d cached syntheses; re-synthesis missed the cache: %v\n",
+		r.Probe.InvalidatedEntries, r.Probe.ResynthesisMiss)
+	return sb.String()
+}
+
 // synthErrCount tallies the query runs whose synthesis attempt failed
 // outright (as opposed to validly declining to rewrite).
 func synthErrCount(records []RuntimeRecord) (errs, runs int) {

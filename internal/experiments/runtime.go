@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"sort"
 	"sync"
 	"time"
 
@@ -13,6 +14,7 @@ import (
 	"sia/internal/plan"
 	"sia/internal/predicate"
 	"sia/internal/sql"
+	"sia/internal/storage"
 	"sia/internal/tpch"
 	"sia/internal/workload"
 )
@@ -25,26 +27,37 @@ import (
 var fig9Synth = cache.NewSynthesizer(0)
 
 // RuntimeRecord is one query's runtime comparison at one scale factor
-// (a point in Fig. 9's scatter plots).
+// (a point in Fig. 9's scatter plots). The JSON keys are the disk
+// artifact's (BENCH_disk.json); the storage counters read zero for plans
+// over in-memory tables.
 type RuntimeRecord struct {
-	QueryID     int
-	ScaleFactor float64
+	QueryID     int     `json:"query_id"`
+	ScaleFactor float64 `json:"scale_factor"`
 	// Rewritten reports whether Sia produced a valid lineitem-side
 	// predicate for this query (the paper's "114 of 200").
-	Rewritten bool
+	Rewritten bool `json:"rewritten"`
 	// SynthesisErr is the error text of a failed synthesis attempt (empty
 	// when synthesis succeeded or was never attempted). A failed synthesis
 	// is not silent: the query runs unrewritten, and the render surfaces
 	// the error count.
-	SynthesisErr string
+	SynthesisErr string `json:"synthesis_err,omitempty"`
 	// Synthesized is the predicate pushed below the join (nil if none).
-	Synthesized predicate.Predicate
+	Synthesized predicate.Predicate `json:"-"`
 	// Original and RewrittenTime are the measured execution times.
-	Original, RewrittenTime time.Duration
+	Original      time.Duration `json:"original_ns"`
+	RewrittenTime time.Duration `json:"rewritten_ns,omitempty"`
 	// Selectivity of the synthesized predicate on lineitem (Table 4).
-	Selectivity float64
-	// Rows returned (identical for both plans — checked).
-	OutputRows int
+	Selectivity float64 `json:"-"`
+	// Storage activity of one execution of each plan.
+	OrigScanned   uint64 `json:"orig_segments_scanned"`
+	OrigPruned    uint64 `json:"orig_segments_pruned"`
+	OrigBytesRead uint64 `json:"orig_bytes_read"`
+	RwScanned     uint64 `json:"rw_segments_scanned,omitempty"`
+	RwPruned      uint64 `json:"rw_segments_pruned,omitempty"`
+	RwBytesRead   uint64 `json:"rw_bytes_read,omitempty"`
+	// OutputRows is the result size, identical for both plans (checked
+	// by digest).
+	OutputRows int `json:"output_rows"`
 }
 
 // Speedup returns original/rewritten (>1 means the rewrite won).
@@ -55,18 +68,24 @@ func (r RuntimeRecord) Speedup() float64 {
 	return float64(r.Original) / float64(r.RewrittenTime)
 }
 
-// Fig9 runs the end-to-end runtime experiment: for every benchmark query,
-// synthesize lineitem-side predicates, rewrite, and execute both plans on
-// the engine at each scale factor.
+// Fig9 runs the end-to-end runtime experiment on the in-memory engine:
+// for every benchmark query, synthesize lineitem-side predicates, rewrite,
+// and execute both plans at each scale factor.
 func Fig9(cfg Config) ([]RuntimeRecord, error) {
 	cfg = cfg.withDefaults()
-	queries := workload.Generate(workload.Config{N: cfg.Queries, Seed: cfg.Seed})
+	return runFig9(cfg, workload.Generate(workload.Config{N: cfg.Queries, Seed: cfg.Seed}), nil)
+}
 
-	// Synthesis is data-independent: do it once per query.
-	type rewriteInfo struct {
-		pred predicate.Predicate // synthesized lineitem predicate, or nil
-		err  error               // synthesis failure, recorded per query
-	}
+// rewriteInfo is one query's synthesis outcome.
+type rewriteInfo struct {
+	pred predicate.Predicate // synthesized lineitem predicate, or nil
+	err  error               // synthesis failure, recorded per query
+}
+
+// synthesizeRewrites runs every query's synthesis concurrently, once:
+// synthesis is data-independent, so every scale factor and table source
+// shares the result.
+func synthesizeRewrites(cfg Config, queries []workload.Query) []rewriteInfo {
 	schema := tpch.JoinSchema()
 	rewrites := make([]rewriteInfo, len(queries))
 	var wg sync.WaitGroup
@@ -95,74 +114,143 @@ func Fig9(cfg Config) ([]RuntimeRecord, error) {
 		}(i, q, cols)
 	}
 	wg.Wait()
+	return rewrites
+}
 
+// runFig9 is the Fig. 9 loop shared by the in-memory and disk
+// experiments. At each scale factor it generates the TPC-H tables, lets
+// source build the catalog the plans run on (nil source: the in-memory
+// tables themselves), and measures every query's original and rewritten
+// plans. Every rewritten result is checked against the original by
+// digest; when the plans run elsewhere than in memory, every original
+// result is also checked against the in-memory engine's.
+func runFig9(cfg Config, queries []workload.Query, source func(sfIdx int, orders, lineitem *engine.Table) (*plan.Catalog, error)) ([]RuntimeRecord, error) {
+	rewrites := synthesizeRewrites(cfg, queries)
 	var out []RuntimeRecord
-	for _, sf := range cfg.ScaleFactors {
+	for sfIdx, sf := range cfg.ScaleFactors {
 		orders, lineitem := tpch.Generate(tpch.Config{ScaleFactor: sf})
-		cat := plan.NewCatalog()
-		cat.Add(orders)
-		cat.Add(lineitem)
+		mem := plan.NewCatalog()
+		mem.Add(orders)
+		mem.Add(lineitem)
+		cat := mem
+		if source != nil {
+			var err error
+			if cat, err = source(sfIdx, orders, lineitem); err != nil {
+				return nil, err
+			}
+		}
 		for i, q := range queries {
-			rec := RuntimeRecord{QueryID: q.ID, ScaleFactor: sf}
-			if serr := rewrites[i].err; serr != nil {
-				rec.SynthesisErr = serr.Error()
-			}
-			parsed, err := sql.Parse(q.SQL(), cat)
+			rec, err := fig9Query(q, rewrites[i], cat, mem, lineitem, cfg.Parallelism)
 			if err != nil {
-				return nil, fmt.Errorf("experiments: parse query %d: %w", q.ID, err)
+				return nil, err
 			}
-			node, err := parsed.Plan(cat)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: plan query %d: %w", q.ID, err)
-			}
-			// Original: plain pushdown only (which moves nothing to
-			// lineitem, by the workload's construction).
-			origPlan := plan.PushDownFilters(node)
-			origTable, origStats, err := executeBest(origPlan, cat, 3, cfg.Parallelism)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: execute query %d: %w", q.ID, err)
-			}
-			rec.Original = origStats.Elapsed
-			rec.OutputRows = origTable.NumRows()
-
-			if rw := rewrites[i]; rw.pred != nil {
-				rec.Rewritten = true
-				rec.Synthesized = rw.pred
-				rec.Selectivity = selectivity(lineitem, rw.pred)
-				rwNode := &plan.Filter{Pred: predicate.NewAnd(parsed.Where, rw.pred), Input: join(node)}
-				rwPlan := plan.PushDownFilters(rwNode)
-				rwTable, rwStats, err := executeBest(rwPlan, cat, 3, cfg.Parallelism)
-				if err != nil {
-					return nil, fmt.Errorf("experiments: execute rewritten %d: %w", q.ID, err)
-				}
-				if rwTable.NumRows() != origTable.NumRows() {
-					return nil, fmt.Errorf("experiments: query %d rewrite changed results: %d vs %d rows",
-						q.ID, rwTable.NumRows(), origTable.NumRows())
-				}
-				rec.RewrittenTime = rwStats.Elapsed
-			}
+			rec.ScaleFactor = sf
 			out = append(out, rec)
 		}
 	}
 	return out, nil
 }
 
-// executeBest runs a plan repeatedly and returns the fastest run (the
-// stable estimate of the plan's cost) plus the result table for the
-// equivalence check.
-func executeBest(n plan.Node, cat *plan.Catalog, runs, parallelism int) (*engine.Table, *plan.ExecStats, error) {
-	var bestTable *engine.Table
-	var bestStats *plan.ExecStats
-	for i := 0; i < runs; i++ {
-		table, stats, err := plan.ExecuteOpts(n, cat, plan.ExecOptions{Parallelism: parallelism})
+// fig9Query measures one query on cat: the original plan (plain pushdown,
+// which moves nothing to lineitem by the workload's construction) and, if
+// synthesis succeeded, the plan with the synthesized predicate pushed to
+// lineitem. mem holds the same data in memory, for the reference check and
+// the predicate's selectivity.
+func fig9Query(q workload.Query, rw rewriteInfo, cat, mem *plan.Catalog, lineitem *engine.Table, par int) (RuntimeRecord, error) {
+	rec := RuntimeRecord{QueryID: q.ID}
+	if rw.err != nil {
+		rec.SynthesisErr = rw.err.Error()
+	}
+	parsed, err := sql.Parse(q.SQL(), cat)
+	if err != nil {
+		return rec, fmt.Errorf("experiments: parse query %d: %w", q.ID, err)
+	}
+	node, err := parsed.Plan(cat)
+	if err != nil {
+		return rec, fmt.Errorf("experiments: plan query %d: %w", q.ID, err)
+	}
+	origPlan := plan.PushDownFilters(node)
+	orig, err := runPlan(origPlan, cat, par)
+	if err != nil {
+		return rec, fmt.Errorf("experiments: execute query %d: %w", q.ID, err)
+	}
+	rec.Original = orig.stats.Elapsed
+	rec.OrigScanned, rec.OrigPruned, rec.OrigBytesRead = orig.io.SegmentsScanned, orig.io.SegmentsPruned, orig.io.BytesRead
+	rec.OutputRows = orig.table.NumRows()
+	want := orig.table.Digest()
+	if cat != mem {
+		ref, _, err := plan.ExecuteOpts(origPlan, mem, plan.ExecOptions{Parallelism: par})
 		if err != nil {
-			return nil, nil, err
+			return rec, fmt.Errorf("experiments: execute query %d in memory: %w", q.ID, err)
 		}
-		if bestStats == nil || stats.Elapsed < bestStats.Elapsed {
-			bestTable, bestStats = table, stats
+		if err := sameResult(fmt.Sprintf("query %d: in-memory engine result", q.ID), want, ref); err != nil {
+			return rec, err
 		}
 	}
-	return bestTable, bestStats, nil
+	if rw.pred == nil {
+		return rec, nil
+	}
+	rec.Rewritten = true
+	rec.Synthesized = rw.pred
+	rec.Selectivity = selectivity(lineitem, rw.pred)
+	rwNode := &plan.Filter{Pred: predicate.NewAnd(parsed.Where, rw.pred), Input: join(node)}
+	rwRun, err := runPlan(plan.PushDownFilters(rwNode), cat, par)
+	if err != nil {
+		return rec, fmt.Errorf("experiments: execute rewritten %d: %w", q.ID, err)
+	}
+	// The rewrite may reorder join output (the smaller lineitem side can
+	// flip build/probe roles), so the check compares row multisets.
+	if err := sameResult(fmt.Sprintf("query %d: rewritten result", q.ID), want, rwRun.table); err != nil {
+		return rec, err
+	}
+	rec.RewrittenTime = rwRun.stats.Elapsed
+	rec.RwScanned, rec.RwPruned, rec.RwBytesRead = rwRun.io.SegmentsScanned, rwRun.io.SegmentsPruned, rwRun.io.BytesRead
+	return rec, nil
+}
+
+// fig9Runs is how many times runPlan executes a plan.
+const fig9Runs = 3
+
+// planRun is one plan measured by runPlan.
+type planRun struct {
+	table *engine.Table
+	stats *plan.ExecStats // of the fastest run
+	io    storage.CounterSnapshot
+}
+
+// runPlan executes a plan fig9Runs times and keeps the fastest run (the
+// stable estimate of the plan's cost) plus the result table for the
+// equivalence check. io is one execution's storage activity: segments
+// scanned and pruned and bytes read, all zero over in-memory tables.
+func runPlan(n plan.Node, cat *plan.Catalog, par int) (planRun, error) {
+	var best planRun
+	before := storage.SnapshotCounters()
+	for i := 0; i < fig9Runs; i++ {
+		table, stats, err := plan.ExecuteOpts(n, cat, plan.ExecOptions{Parallelism: par})
+		if err != nil {
+			return planRun{}, err
+		}
+		if best.stats == nil || stats.Elapsed < best.stats.Elapsed {
+			best.table, best.stats = table, stats
+		}
+	}
+	d := storage.SnapshotCounters().Sub(before)
+	best.io = storage.CounterSnapshot{
+		SegmentsScanned: d.SegmentsScanned / fig9Runs,
+		SegmentsPruned:  d.SegmentsPruned / fig9Runs,
+		BytesRead:       d.BytesRead / fig9Runs,
+	}
+	return best, nil
+}
+
+// sameResult returns an error naming what unless got holds the row
+// multiset whose digest is want.
+func sameResult(what string, want engine.Digest, got *engine.Table) error {
+	if d := got.Digest(); d != want {
+		return fmt.Errorf("experiments: %s differs: %d rows (digest %016x), want %d rows (digest %016x)",
+			what, d.Rows, d.Sum, want.Rows, want.Sum)
+	}
+	return nil
 }
 
 // join unwraps a Filter(Join) plan to its join (the benchmark queries all
@@ -199,40 +287,67 @@ func selectivity(lineitem *engine.Table, p predicate.Predicate) float64 {
 }
 
 // Fig9Summary aggregates a scale factor's records into the counts the
-// paper reports alongside Fig. 9 and in Table 4.
+// paper reports alongside Fig. 9 and in Table 4, plus the disk
+// experiment's speedup and storage totals. The JSON keys are the disk
+// artifact's; Table 4's slower buckets and selectivities are not part of
+// it.
 type Fig9Summary struct {
-	ScaleFactor  float64
-	Rewritten    int
-	Faster       int
-	Faster2x     int
-	Slower       int
-	Slower2x     int
-	AvgSelFaster float64
-	AvgSelFast2x float64
-	AvgSelSlower float64
-	AvgSelSlow2x float64
+	ScaleFactor float64 `json:"scale_factor"`
+	Queries     int     `json:"queries"`
+	Rewritten   int     `json:"rewritten"`
+	Faster      int     `json:"faster"`
+	Faster2x    int     `json:"faster_2x"`
+	Slower      int     `json:"-"`
+	Slower2x    int     `json:"-"`
+	// Mean selectivity of the synthesized predicates in each bucket.
+	AvgSelFaster float64 `json:"-"`
+	AvgSelFast2x float64 `json:"-"`
+	AvgSelSlower float64 `json:"-"`
+	AvgSelSlow2x float64 `json:"-"`
+	// MeanSpeedup and MedianSpeedup are over rewritten queries.
+	MeanSpeedup   float64 `json:"mean_speedup"`
+	MedianSpeedup float64 `json:"median_speedup"`
+	// SegmentsPruned totals the per-run segments the rewritten plans
+	// skipped; PrunedFrac is the fraction of their candidate segments
+	// that zone maps eliminated.
+	SegmentsPruned uint64  `json:"segments_pruned"`
+	PrunedFrac     float64 `json:"pruned_frac"`
+	// BytesReadOrig and BytesReadRw total the per-run bytes the original
+	// plans (of every query) and the rewritten plans read.
+	BytesReadOrig uint64 `json:"bytes_read_orig"`
+	BytesReadRw   uint64 `json:"bytes_read_rw"`
 }
 
-// Summarize computes per-scale-factor aggregates (Table 4's rows).
+// Summarize computes per-scale-factor aggregates (Table 4's rows), in the
+// order the scale factors first appear in records.
 func Summarize(records []RuntimeRecord) []Fig9Summary {
-	bySF := map[float64]*Fig9Summary{}
-	type selAcc struct{ faster, fast2x, slower, slow2x []float64 }
-	sels := map[float64]*selAcc{}
-	var order []float64
+	type acc struct {
+		speedups, faster, fast2x, slower, slow2x []float64 // selectivities, except speedups
+		candidates                               uint64
+	}
+	var out []Fig9Summary
+	var accs []*acc
+	index := map[float64]int{}
 	for _, r := range records {
+		i, ok := index[r.ScaleFactor]
+		if !ok {
+			i = len(out)
+			index[r.ScaleFactor] = i
+			out = append(out, Fig9Summary{ScaleFactor: r.ScaleFactor})
+			accs = append(accs, &acc{})
+		}
+		s, a := &out[i], accs[i]
+		s.Queries++
+		s.BytesReadOrig += r.OrigBytesRead
 		if !r.Rewritten {
 			continue
 		}
-		s, ok := bySF[r.ScaleFactor]
-		if !ok {
-			s = &Fig9Summary{ScaleFactor: r.ScaleFactor}
-			bySF[r.ScaleFactor] = s
-			sels[r.ScaleFactor] = &selAcc{}
-			order = append(order, r.ScaleFactor)
-		}
 		s.Rewritten++
+		s.SegmentsPruned += r.RwPruned
+		s.BytesReadRw += r.RwBytesRead
+		a.candidates += r.RwScanned + r.RwPruned
 		sp := r.Speedup()
-		a := sels[r.ScaleFactor]
+		a.speedups = append(a.speedups, sp)
 		if sp >= 1 {
 			s.Faster++
 			a.faster = append(a.faster, r.Selectivity)
@@ -249,15 +364,17 @@ func Summarize(records []RuntimeRecord) []Fig9Summary {
 			}
 		}
 	}
-	var out []Fig9Summary
-	for _, sf := range order {
-		s := bySF[sf]
-		a := sels[sf]
+	for i := range out {
+		s, a := &out[i], accs[i]
 		s.AvgSelFaster = mean(a.faster)
 		s.AvgSelFast2x = mean(a.fast2x)
 		s.AvgSelSlower = mean(a.slower)
 		s.AvgSelSlow2x = mean(a.slow2x)
-		out = append(out, *s)
+		s.MeanSpeedup = mean(a.speedups)
+		s.MedianSpeedup = median(a.speedups)
+		if a.candidates > 0 {
+			s.PrunedFrac = float64(s.SegmentsPruned) / float64(a.candidates)
+		}
 	}
 	return out
 }
@@ -273,6 +390,18 @@ func mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
+func median(xs []float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	if len(s)%2 == 1 {
+		return s[len(s)/2]
+	}
+	return (s[len(s)/2-1] + s[len(s)/2]) / 2
+}
+
 // MotivatingResult is the §2 experiment: Q1 vs Q2 on TPC-H.
 type MotivatingResult struct {
 	ScaleFactor        float64
@@ -283,8 +412,9 @@ type MotivatingResult struct {
 }
 
 // Motivating reproduces the §2 measurement: the hand-rewritten Q2 (with
-// the three inferred lineitem predicates) against the original Q1.
-func Motivating(sf float64) (*MotivatingResult, error) {
+// the three inferred lineitem predicates) against the original Q1, each
+// measured like a Fig. 9 plan on parallelism engine workers.
+func Motivating(sf float64, parallelism int) (*MotivatingResult, error) {
 	orders, lineitem := tpch.Generate(tpch.Config{ScaleFactor: sf})
 	cat := plan.NewCatalog()
 	cat.Add(orders)
@@ -294,37 +424,33 @@ func Motivating(sf float64) (*MotivatingResult, error) {
 		AND l_commitdate - l_shipdate < l_shipdate - o_orderdate + 10`
 	q2 := q1 + ` AND l_shipdate < DATE '1993-06-20' AND l_commitdate < DATE '1993-07-18'
 		AND l_commitdate - l_shipdate < 29`
-	run := func(stmt string) (time.Duration, int, int, error) {
+	run := func(stmt string) (planRun, error) {
 		parsed, err := sql.Parse(stmt, cat)
 		if err != nil {
-			return 0, 0, 0, err
+			return planRun{}, err
 		}
 		node, err := parsed.Plan(cat)
 		if err != nil {
-			return 0, 0, 0, err
+			return planRun{}, err
 		}
-		table, stats, err := executeBest(plan.PushDownFilters(node), cat, 3, 0)
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		return stats.Elapsed, stats.JoinInputRows, table.NumRows(), nil
+		return runPlan(plan.PushDownFilters(node), cat, parallelism)
 	}
-	t1, j1, rows1, err := run(q1)
+	r1, err := run(q1)
 	if err != nil {
 		return nil, err
 	}
-	t2, j2, rows2, err := run(q2)
+	r2, err := run(q2)
 	if err != nil {
 		return nil, err
 	}
-	if rows1 != rows2 {
-		return nil, fmt.Errorf("experiments: Q1 and Q2 disagree: %d vs %d rows", rows1, rows2)
+	if err := sameResult("motivating example: Q2 result", r1.table.Digest(), r2.table); err != nil {
+		return nil, err
 	}
 	return &MotivatingResult{
 		ScaleFactor: sf,
-		Q1Time:      t1, Q2Time: t2,
-		Q1JoinIn: j1, Q2JoinIn: j2,
-		OutputRows: rows1,
-		Speedup:    float64(t1) / float64(t2),
+		Q1Time:      r1.stats.Elapsed, Q2Time: r2.stats.Elapsed,
+		Q1JoinIn: r1.stats.JoinInputRows, Q2JoinIn: r2.stats.JoinInputRows,
+		OutputRows: r1.table.NumRows(),
+		Speedup:    float64(r1.stats.Elapsed) / float64(r2.stats.Elapsed),
 	}, nil
 }
