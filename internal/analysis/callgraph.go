@@ -98,13 +98,13 @@ type Edge struct {
 
 // FuncNode is one function, method, or function literal in the call graph.
 type FuncNode struct {
-	Pkg  *Package
-	Obj  *types.Func   // nil for literals
-	Decl *ast.FuncDecl // nil for literals
-	Lit  *ast.FuncLit  // nil for declared functions
-	Encl *FuncNode     // for literals: the creating function
-	Name string        // qualified display name, e.g. "sia/internal/smt.(*Solver).eliminateInt"
-	Body *ast.BlockStmt
+	Pkg   *Package
+	Obj   *types.Func   // nil for literals
+	Decl  *ast.FuncDecl // nil for literals
+	Lit   *ast.FuncLit  // nil for declared functions
+	Encl  *FuncNode     // for literals: the creating function
+	Name  string        // qualified display name, e.g. "sia/internal/smt.(*Solver).eliminateInt"
+	Body  *ast.BlockStmt
 	Edges []Edge
 
 	Hot  bool // carries // sia:hotpath

@@ -240,8 +240,8 @@ func (ctx *chanContext) applyChanOp(fact *chanFact, op chanOp, report func(pos t
 // expressions, and loop spans.
 type chanContext struct {
 	pass    *Pass
-	params  map[string]bool       // bare channel-typed parameter names
-	inSel   []posSpan             // select communication clause spans
+	params  map[string]bool // bare channel-typed parameter names
+	inSel   []posSpan       // select communication clause spans
 	okRecvs map[*ast.UnaryExpr]bool
 	loops   []posSpan
 	any     bool // body touches any channel at all

@@ -69,7 +69,7 @@ type goroFinding struct {
 
 // goroLaunch is one go statement selected for checking.
 type goroLaunch struct {
-	node    *FuncNode   // the launching function
+	node    *FuncNode // the launching function
 	stmt    *ast.GoStmt
 	targets []*FuncNode // resolved launch targets (literal or named)
 	desc    string      // "file.go:123" of the go statement

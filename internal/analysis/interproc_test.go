@@ -185,10 +185,10 @@ func TestMemoSafeGood(t *testing.T) {
 func TestMemoSafeBad(t *testing.T) {
 	got := runOne(t, "memosafe_bad", allocCfg(), MemoSafe(allocCfg()))
 	wantFindings(t, got, 5,
-		"Touch",   // global map write
-		"Bump",    // parameter mutation
-		"Stamp",   // time.Now
-		"Keys",    // map iteration order
+		"Touch",    // global map write
+		"Bump",     // parameter mutation
+		"Stamp",    // time.Now
+		"Keys",     // map iteration order
 		"Indirect", // mutation via helper summary
 	)
 }

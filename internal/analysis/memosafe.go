@@ -75,7 +75,7 @@ type memoSummary struct {
 }
 
 type memoState struct {
-	from  map[*FuncNode]*FuncNode  // memo-reachable node -> witness entry
+	from  map[*FuncNode]*FuncNode // memo-reachable node -> witness entry
 	sums  map[*FuncNode]*memoSummary
 	viols map[*FuncNode][]memoIssue // unjustified, AST order
 	justs map[*FuncNode][]memoIssue // justified, AST order

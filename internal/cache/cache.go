@@ -1,12 +1,12 @@
 package cache
 
 import (
-	"container/list"
 	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
 
+	"sia/internal/cache/memo"
 	"sia/internal/core"
 	"sia/internal/obs"
 	"sia/internal/predicate"
@@ -38,22 +38,23 @@ type Stats struct {
 }
 
 // Cache memoizes synthesis results under canonical keys with LRU bounding
-// and singleflight deduplication. All methods are safe for concurrent use.
+// (a memo.Cache) and singleflight deduplication. All methods are safe for
+// concurrent use.
 //
 // Stored results are shared: a hit returns the same *core.Result pointer
 // the original computation produced, so callers must treat Results as
 // immutable (every field is write-once metadata or an immutable predicate
 // tree, so ordinary use never mutates one).
 type Cache struct {
+	// mu serializes every multi-step update across lru, inflight and
+	// tagIndex; lru's own lock only guards its internals.
 	mu       sync.Mutex
-	capacity int
-	ll       *list.List // front = most recently used
-	entries  map[string]*list.Element
+	lru      *memo.Cache[string, *entry]
 	inflight map[string]*call
 
 	// tagIndex maps each tag to the set of stored keys carrying it, so
 	// InvalidateTags removes matching entries without a full scan. Kept
-	// exactly in sync with entries by insert, eviction and invalidation.
+	// exactly in sync with lru by insert, eviction and invalidation.
 	tagIndex map[string]map[string]bool
 
 	// The monotone counters are obs instruments so a registry can read
@@ -96,9 +97,7 @@ func New(capacity int) *Cache {
 		capacity = DefaultCapacity
 	}
 	return &Cache{
-		capacity: capacity,
-		ll:       list.New(),
-		entries:  map[string]*list.Element{},
+		lru:      memo.New[string, *entry](capacity),
 		inflight: map[string]*call{},
 		tagIndex: map[string]map[string]bool{},
 	}
@@ -137,10 +136,9 @@ func (c *Cache) DoTagged(ctx context.Context, key string, tags []string, fn func
 			return nil, false, fmt.Errorf("%w: %w", core.ErrTimeout, cerr)
 		}
 		c.mu.Lock()
-		if el, ok := c.entries[key]; ok {
-			c.ll.MoveToFront(el)
+		if e, ok := c.lru.Get(key); ok {
 			c.hits.Inc()
-			res := el.Value.(*entry).res
+			res := e.res
 			c.mu.Unlock()
 			c.traceOutcome("hit")
 			return res, true, nil
@@ -226,31 +224,19 @@ func (c *Cache) run(key string, cl *call, runCtx context.Context, fn func(contex
 	cl.cancel()
 }
 
-// insert stores res under key with tags, evicting from the LRU tail past
-// capacity. Caller holds c.mu.
+// insert stores res under key with tags as the most recently used entry,
+// replacing any entry already under key; past capacity the LRU tail is
+// evicted and untagged. Caller holds c.mu.
 func (c *Cache) insert(key string, res *core.Result, tags []string) {
-	if el, ok := c.entries[key]; ok {
-		e := el.Value.(*entry)
-		c.untag(e)
-		e.res = res
-		e.tags = tags
-		c.tag(e)
-		c.ll.MoveToFront(el)
-		return
+	if old, ok := c.lru.Remove(key); ok {
+		c.untag(old)
 	}
 	e := &entry{key: key, res: res, tags: tags}
-	c.entries[key] = c.ll.PushFront(e)
-	c.tag(e)
-	// goroutine: bounded — every iteration removes one list element, so
-	// the loop runs at most Len()-capacity times.
-	for c.ll.Len() > c.capacity {
-		back := c.ll.Back()
-		c.ll.Remove(back)
-		be := back.Value.(*entry)
-		delete(c.entries, be.key)
-		c.untag(be)
+	if _, old, evicted := c.lru.Add(key, e); evicted {
+		c.untag(old)
 		c.evictions.Inc()
 	}
+	c.tag(e)
 }
 
 // tag adds e's key under each of its tags. Caller holds c.mu.
@@ -289,13 +275,11 @@ func (c *Cache) InvalidateTags(tags []string) int {
 		// goroutine: bounded — iterates the keys indexed under one tag,
 		// each removed exactly once.
 		for key := range c.tagIndex[t] {
-			el, ok := c.entries[key]
+			e, ok := c.lru.Remove(key)
 			if !ok {
 				continue
 			}
-			c.ll.Remove(el)
-			delete(c.entries, key)
-			c.untag(el.Value.(*entry))
+			c.untag(e)
 			c.invalidations.Inc()
 			removed++
 		}
@@ -312,13 +296,12 @@ func (c *Cache) InvalidateTags(tags []string) int {
 func (c *Cache) Peek(key string) (*core.Result, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.entries[key]
+	e, ok := c.lru.Get(key)
 	if !ok {
 		return nil, false
 	}
-	c.ll.MoveToFront(el)
 	c.hits.Inc()
-	return el.Value.(*entry).res, true
+	return e.res, true
 }
 
 // Put stores res under key without counting a miss, evicting past
@@ -349,11 +332,10 @@ type Entry struct {
 func (c *Cache) Export() []Entry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]Entry, 0, c.ll.Len())
-	for el := c.ll.Front(); el != nil; el = el.Next() {
-		e := el.Value.(*entry)
-		out = append(out, Entry{Key: e.key, Res: e.res})
-	}
+	out := make([]Entry, 0, c.lru.Len())
+	c.lru.Range(func(key string, e *entry) {
+		out = append(out, Entry{Key: key, Res: e.res})
+	})
 	return out
 }
 
@@ -367,7 +349,7 @@ func (c *Cache) Stats() Stats {
 		Coalesced:     c.coalesced.Value(),
 		Evictions:     c.evictions.Value(),
 		Invalidations: c.invalidations.Value(),
-		Entries:       c.ll.Len(),
+		Entries:       c.lru.Len(),
 		InFlight:      len(c.inflight),
 	}
 }
@@ -397,7 +379,7 @@ func (c *Cache) RegisterMetrics(reg *obs.Registry) error {
 	gauges := func() (entries, inflight int) {
 		c.mu.Lock()
 		defer c.mu.Unlock()
-		return c.ll.Len(), len(c.inflight)
+		return c.lru.Len(), len(c.inflight)
 	}
 	metrics := []metric{
 		{"sia_cache_hits_total", "Requests answered from a stored entry.",

@@ -1,11 +1,11 @@
 // Package memo provides a small, bounded, concurrency-safe memoization
-// cache with LRU eviction. It is the building block for hot-path memo
-// tables (such as the SMT quantifier-elimination memo) that need a hard
-// footprint bound and deterministic eviction, without the admission
-// policies or tracing of internal/cache. Unlike internal/cache it never
-// computes values itself: the caller decides what is safe to store, which
-// matters when a computation can be aborted mid-way (a cancelled
-// elimination must not poison the table).
+// cache with LRU eviction — the repo's one LRU. Hot-path memo tables (such
+// as the SMT quantifier-elimination memo) use it directly for a hard
+// footprint bound and deterministic eviction; internal/cache builds its
+// singleflight, tags and counters on top of it. It never computes values
+// itself: the caller decides what is safe to store, which matters when a
+// computation can be aborted mid-way (a cancelled elimination must not
+// poison the table).
 package memo
 
 import (
@@ -56,28 +56,51 @@ func (c *Cache[K, V]) Get(k K) (V, bool) {
 	return zero, false
 }
 
-// Add stores v under k, making it the most recently used entry, and
-// reports whether an older entry was evicted to make room. Adding an
-// existing key overwrites its value without eviction.
+// Add stores v under k, making it the most recently used entry. When an
+// older entry was evicted to make room, Add returns it with evicted set.
+// Adding an existing key overwrites its value without eviction.
 // memo: the cache is semantically transparent — storing a deterministic
 // result under its key cannot change any future answer, only whether it
 // is recomputed; locking and LRU bookkeeping are invisible to results.
-func (c *Cache[K, V]) Add(k K, v V) (evicted bool) {
+func (c *Cache[K, V]) Add(k K, v V) (oldK K, oldV V, evicted bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[k]; ok {
 		c.ll.MoveToFront(el)
 		el.Value.(*entry[K, V]).val = v
-		return false
+		return oldK, oldV, false
 	}
 	if c.ll.Len() >= c.cap {
-		oldest := c.ll.Back()
-		c.ll.Remove(oldest)
-		delete(c.items, oldest.Value.(*entry[K, V]).key)
-		evicted = true
+		oldest := c.ll.Remove(c.ll.Back()).(*entry[K, V])
+		delete(c.items, oldest.key)
+		oldK, oldV, evicted = oldest.key, oldest.val, true
 	}
 	c.items[k] = c.ll.PushFront(&entry[K, V]{key: k, val: v})
-	return evicted
+	return oldK, oldV, evicted
+}
+
+// Remove deletes k's entry and returns its value, reporting whether it was
+// present.
+func (c *Cache[K, V]) Remove(k K) (V, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.items[k]; ok {
+		delete(c.items, k)
+		return c.ll.Remove(el).(*entry[K, V]).val, true
+	}
+	var zero V
+	return zero, false
+}
+
+// Range calls fn on every entry, most recently used first, without
+// changing the recency order. fn must not call back into the cache.
+func (c *Cache[K, V]) Range(fn func(k K, v V)) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for el := c.ll.Front(); el != nil; el = el.Next() {
+		e := el.Value.(*entry[K, V])
+		fn(e.key, e.val)
+	}
 }
 
 // Len returns the number of entries currently cached.

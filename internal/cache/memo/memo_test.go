@@ -11,13 +11,13 @@ func TestBasicGetAdd(t *testing.T) {
 	if _, ok := c.Get("a"); ok {
 		t.Fatal("empty cache reported a hit")
 	}
-	if ev := c.Add("a", 1); ev {
+	if _, _, ev := c.Add("a", 1); ev {
 		t.Fatal("first insert evicted")
 	}
 	if v, ok := c.Get("a"); !ok || v != 1 {
 		t.Fatalf("got %d,%v want 1,true", v, ok)
 	}
-	if ev := c.Add("a", 2); ev {
+	if _, _, ev := c.Add("a", 2); ev {
 		t.Fatal("overwrite evicted")
 	}
 	if v, _ := c.Get("a"); v != 2 {
@@ -35,7 +35,7 @@ func TestLRUEviction(t *testing.T) {
 	}
 	// Touch 0 so it is most recently used; 1 becomes the LRU victim.
 	c.Get(0)
-	if ev := c.Add(3, 30); !ev {
+	if _, _, ev := c.Add(3, 30); !ev {
 		t.Fatal("insert at capacity did not evict")
 	}
 	if _, ok := c.Get(1); ok {

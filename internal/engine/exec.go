@@ -8,26 +8,43 @@ import (
 )
 
 // FilterPar returns a new table containing the rows of t that satisfy p,
-// on par workers (par <= 0 means DefaultParallelism). See FilterProgram.
+// on par workers (par <= 0 means DefaultParallelism). It is FilterTables
+// over the single part t.
 func FilterPar(t *Table, p predicate.Predicate, par int) *Table {
-	return FilterProgram(t, predicate.Compile(p), par)
+	return FilterTables(t.Name, t.schema, []*Table{t}, predicate.Compile(p), par)
 }
 
-// FilterProgram is FilterPar over an already compiled predicate, so a
-// caller filtering many tables with one predicate compiles it once: the
-// acceptance bitmap is evaluated morsel-parallel, per-morsel survivor
-// counts are prefix-summed into output offsets, and the surviving rows are
-// gathered column-wise into disjoint ranges of a dense copy. Row order is
-// preserved, so the result is byte-identical at any worker count.
-func FilterProgram(t *Table, prog *predicate.Program, par int) *Table {
-	defer observeOp(opFilter, time.Now())
-	bitmap := selectProgram(t, prog, par)
-	rows := selectedRows(bitmap, par)
-	mRowsScanned.Add(uint64(t.nRows))
-	mRowsKept.Add(uint64(len(rows)))
-	out := NewTable(t.Name, t.schema)
-	out.nRows = len(rows)
-	gatherInto(out, t, t.order, rows, par)
+// FilterTables returns one table named name with the given schema (which
+// every part must share) holding the rows of parts that satisfy prog —
+// every row when prog is nil — in part order, then row order. prog is
+// bound to each part separately, so each part's own maxAbs bounds decide
+// which atoms vectorize. Per part, the acceptance bitmap is evaluated
+// morsel-parallel and per-morsel survivor counts are prefix-summed into
+// row indices; the survivors of every part are then gathered column-wise
+// into one output sized exactly, so each surviving row is copied once. The
+// result is byte-identical at any worker count. Only a filtering call
+// over at least one part (prog != nil) counts as a filter operator in the
+// engine metrics.
+func FilterTables(name string, schema *predicate.Schema, parts []*Table, prog *predicate.Program, par int) *Table {
+	if prog != nil && len(parts) > 0 {
+		defer observeOp(opFilter, time.Now())
+	}
+	out := NewTable(name, schema)
+	rows := make([][]int, len(parts))
+	for i, t := range parts {
+		if prog == nil {
+			out.nRows += t.nRows
+			continue
+		}
+		rows[i] = selectedRows(selectProgram(t, prog, par), par)
+		mRowsScanned.Add(uint64(t.nRows))
+		mRowsKept.Add(uint64(len(rows[i])))
+		out.nRows += len(rows[i])
+	}
+	off := 0
+	for i, t := range parts {
+		off += gatherInto(out, t, out.order, rows[i], off, par)
+	}
 	return out
 }
 
@@ -64,12 +81,15 @@ func selectedRows(sel []bool, par int) []int {
 	return rows
 }
 
-// gatherInto materializes the named columns of src, restricted to rows (all
-// rows in order when rows is nil), into the same-named columns of out,
-// splitting the copy across par workers. out's row count must already be
-// set; each worker writes a disjoint output range, so the result is
+// gatherInto copies the named columns of src, restricted to rows (all rows
+// in order when rows is nil), into the same-named columns of out starting
+// at output row off, splitting the copy across par workers, and returns
+// the number of rows copied. out's row count must already be set; a column
+// of out is sized to it on first touch, and its maxAbs becomes the maximum
+// over its sources (conservative: a subset's max cannot exceed its
+// source's). Each worker writes a disjoint output range, so the result is
 // independent of scheduling.
-func gatherInto(out, src *Table, cols []string, rows []int, par int) {
+func gatherInto(out, src *Table, cols []string, rows []int, off, par int) int {
 	n := len(rows)
 	if rows == nil {
 		n = src.nRows
@@ -81,14 +101,15 @@ func gatherInto(out, src *Table, cols []string, rows []int, par int) {
 	for _, name := range cols {
 		cd := src.cols[name]
 		oc := out.cols[name]
-		oc.maxAbs = cd.maxAbs // conservative: a subset's max cannot exceed the source's
-		if cd.typ.Integral() {
-			oc.ints = make([]int64, n)
-		} else {
-			oc.reals = make([]float64, n)
+		oc.maxAbs = max(oc.maxAbs, cd.maxAbs)
+		if cd.typ.Integral() && len(oc.ints) != out.nRows {
+			oc.ints = make([]int64, out.nRows)
 		}
-		if cd.nulls != nil {
-			oc.nulls = make([]bool, n)
+		if !cd.typ.Integral() && len(oc.reals) != out.nRows {
+			oc.reals = make([]float64, out.nRows)
+		}
+		if cd.nulls != nil && len(oc.nulls) != out.nRows {
+			oc.nulls = make([]bool, out.nRows)
 		}
 		copies = append(copies, colCopy{src: cd, dst: oc})
 	}
@@ -96,34 +117,35 @@ func gatherInto(out, src *Table, cols []string, rows []int, par int) {
 		for _, cc := range copies {
 			if rows == nil {
 				if cc.src.typ.Integral() {
-					copy(cc.dst.ints[lo:hi], cc.src.ints[lo:hi])
+					copy(cc.dst.ints[off+lo:off+hi], cc.src.ints[lo:hi])
 				} else {
-					copy(cc.dst.reals[lo:hi], cc.src.reals[lo:hi])
+					copy(cc.dst.reals[off+lo:off+hi], cc.src.reals[lo:hi])
 				}
 				if cc.src.nulls != nil {
-					copy(cc.dst.nulls[lo:hi], cc.src.nulls[lo:hi])
+					copy(cc.dst.nulls[off+lo:off+hi], cc.src.nulls[lo:hi])
 				}
 				continue
 			}
 			if cc.src.typ.Integral() {
-				dst, srcInts := cc.dst.ints, cc.src.ints
+				dst, srcInts := cc.dst.ints[off:], cc.src.ints
 				for i := lo; i < hi; i++ {
 					dst[i] = srcInts[rows[i]]
 				}
 			} else {
-				dst, srcReals := cc.dst.reals, cc.src.reals
+				dst, srcReals := cc.dst.reals[off:], cc.src.reals
 				for i := lo; i < hi; i++ {
 					dst[i] = srcReals[rows[i]]
 				}
 			}
 			if cc.src.nulls != nil {
-				dst, srcNulls := cc.dst.nulls, cc.src.nulls
+				dst, srcNulls := cc.dst.nulls[off:], cc.src.nulls
 				for i := lo; i < hi; i++ {
 					dst[i] = srcNulls[rows[i]]
 				}
 			}
 		}
 	})
+	return n
 }
 
 // HashJoin performs an inner equi-join of l and r on integral key columns,
@@ -273,8 +295,8 @@ func HashJoinWherePar(l, r *Table, lkey, rkey string, lpred, rpred predicate.Pre
 	}
 	// Materialize column-wise from each side's backing arrays.
 	out.nRows = total
-	gatherInto(out, l, l.order, lrows, par)
-	gatherInto(out, r, r.order, rrows, par)
+	gatherInto(out, l, l.order, lrows, 0, par)
+	gatherInto(out, r, r.order, rrows, 0, par)
 	return out, stats, nil
 }
 
@@ -312,6 +334,6 @@ func ProjectPar(t *Table, cols []string, par int) (*Table, error) {
 	}
 	out := NewTable(t.Name, predicate.NewSchema(sub...))
 	out.nRows = t.nRows
-	gatherInto(out, t, cols, nil, par)
+	gatherInto(out, t, cols, nil, 0, par)
 	return out, nil
 }

@@ -214,7 +214,7 @@ func ReorderRows(t *Table, rows []int, par int) (*Table, error) {
 	}
 	out := NewTable(t.Name, t.schema)
 	out.nRows = len(rows)
-	gatherInto(out, t, t.order, rows, par)
+	gatherInto(out, t, t.order, rows, 0, par)
 	return out, nil
 }
 

@@ -143,7 +143,7 @@ func TestParallelDisjunctsMatchSerial(t *testing.T) {
 		disjuncts = append(disjuncts, NewAnd(
 			LT(VarTerm(x).Scale(big.NewRat(i+2, 1)).Add(VarTerm(y)), ConstTerm(3*i+1)),
 			LE(ConstTerm(-i), VarTerm(x)),
-			EQ(VarTerm(y).AddScaled(VarTerm(x), big.NewRat(-(i + 1), 1)), ConstTerm(i)),
+			EQ(VarTerm(y).AddScaled(VarTerm(x), big.NewRat(-(i+1), 1)), ConstTerm(i)),
 		))
 	}
 	g := &Exists{V: x, F: NewOr(disjuncts...)}

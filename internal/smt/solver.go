@@ -299,7 +299,7 @@ func (s *Solver) eliminate(v Var, f Formula) (Formula, error) {
 	}
 	// memo: storing the deterministic result under its key is invisible to
 	// every future answer; only recomputation is avoided.
-	if qeMemo.Add(key, r) {
+	if _, _, evicted := qeMemo.Add(key, r); evicted {
 		mQEMemoEvictions.Inc()
 	}
 	return r, nil

@@ -11,7 +11,9 @@ import (
 // TestFilterMatchesEval pins both interpretations of a compiled predicate
 // to row-by-row predicate.Eval: the engine's filter selects exactly the
 // TRUE rows, and a segment whose zone maps say no row may be TRUE has no
-// TRUE row.
+// TRUE row. It also pins the multi-part filter over the decoded segments
+// (each with its own maxAbs, nullable and DOUBLE columns, all-NULL
+// segments) to the one-table filter over the whole table.
 func TestFilterMatchesEval(t *testing.T) {
 	for seed := int64(0); seed < 400; seed++ {
 		checkFilterMatchesEval(t, seed)
@@ -41,6 +43,7 @@ func checkFilterMatchesEval(t *testing.T, seed int64) {
 		tbl.AppendRow(row...)
 	}
 	var segs []*Segment
+	var parts []*engine.Table
 	for lo := 0; lo < n; lo += segRows {
 		buf, _, err := encodeSegment(tbl, lo, min(lo+segRows, n))
 		if err != nil {
@@ -51,6 +54,16 @@ func checkFilterMatchesEval(t *testing.T, seed int64) {
 			t.Fatal(err)
 		}
 		segs = append(segs, &Segment{meta: meta})
+		part, err := DecodeSegment("t", buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parts = append(parts, part)
+	}
+	for _, par := range []int{1, 4} {
+		if all := engine.FilterTables("t", tbl.Schema(), parts, nil, par); !engine.TablesEqual(tbl, all) {
+			t.Fatalf("seed %d par %d: unfiltered FilterTables over %d segments differs from the table", seed, par, len(parts))
+		}
 	}
 	want := make([]bool, n)
 	for i := 0; i < 4; i++ {
@@ -68,6 +81,13 @@ func checkFilterMatchesEval(t *testing.T, seed int64) {
 			}
 		}
 		prog := predicate.Compile(p)
+		whole := engine.FilterPar(tbl, p, 1)
+		for _, par := range []int{1, 4} {
+			if got := engine.FilterTables("t", tbl.Schema(), parts, prog, par); !engine.TablesEqual(whole, got) {
+				t.Fatalf("seed %d par %d: %s: FilterTables over %d segments kept %d rows, FilterPar %d",
+					seed, par, p, len(parts), got.NumRows(), whole.NumRows())
+			}
+		}
 		for s, seg := range segs {
 			if seg.CanMatch(prog) {
 				continue

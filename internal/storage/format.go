@@ -381,6 +381,29 @@ func parseSegment(data []byte) (*segMeta, error) {
 	return &segMeta{layout: layout, zones: zones}, nil
 }
 
+// decodeTable verifies every column page's checksum and decodes the pages
+// into an engine table named name. data holds the segment file's bytes
+// from offset base on, through the last page. It is the one decode path
+// under both DecodeSegment (base 0, the whole image) and Segment.Load
+// (base at the first page, the pages region only).
+func decodeTable(name string, layout segLayout, data []byte, base int64) (*engine.Table, error) {
+	values := make([]engine.ColumnValues, 0, len(layout.cols))
+	for i, c := range layout.cols {
+		spec := layout.pages[i]
+		page := data[spec.off-base : spec.off-base+spec.dataLen()]
+		wantCRC := binary.LittleEndian.Uint32(data[spec.off-base+spec.dataLen():])
+		if got := crc32.ChecksumIEEE(page); got != wantCRC {
+			return nil, corrupt("column %q page checksum mismatch (stored %08x, computed %08x)", c.Name, wantCRC, got)
+		}
+		values = append(values, decodePage(c, layout.rows, page))
+	}
+	t, err := engine.NewTableFromColumns(name, predicate.NewSchema(layout.cols...), layout.rows, values)
+	if err != nil {
+		return nil, corrupt("rebuilding table: %v", err)
+	}
+	return t, nil
+}
+
 // decodePage turns one column's page bytes (values + optional bitmap,
 // checksum already verified) into engine column arrays.
 func decodePage(c predicate.Column, rows int, page []byte) engine.ColumnValues {
@@ -423,36 +446,13 @@ func decodeFloat64s(dst []float64, src []byte) {
 }
 
 // DecodeSegment decodes a complete in-memory segment image into an engine
-// table named name, verifying every checksum. It is the byte-level entry
-// point the fuzz target drives; OpenSegment/Load is the file-level reader
-// built on the same validators.
+// table named name, verifying every checksum. It is the byte-level reader;
+// OpenSegment/Load is the file-level one, built on the same validators
+// and the same page decoder, and FuzzReadSegment requires the two agree.
 func DecodeSegment(name string, data []byte) (*engine.Table, error) {
 	meta, err := parseSegment(data)
 	if err != nil {
 		return nil, err
 	}
-	cols := meta.cols()
-	values := make([]engine.ColumnValues, 0, len(cols))
-	for i, c := range cols {
-		page := meta.layout.pages[i]
-		if err := verifyPage(c, data[page.off:page.off+page.dataLen()+4]); err != nil {
-			return nil, err
-		}
-		values = append(values, decodePage(c, meta.rows(), data[page.off:page.off+page.dataLen()]))
-	}
-	t, err := engine.NewTableFromColumns(name, predicate.NewSchema(cols...), meta.rows(), values)
-	if err != nil {
-		return nil, corrupt("rebuilding table: %v", err)
-	}
-	return t, nil
-}
-
-// verifyPage checks one column page's CRC (page holds values+bitmap+crc).
-func verifyPage(c predicate.Column, page []byte) error {
-	dataLen := len(page) - 4
-	wantCRC := binary.LittleEndian.Uint32(page[dataLen:])
-	if got := crc32.ChecksumIEEE(page[:dataLen]); got != wantCRC {
-		return corrupt("column %q page checksum mismatch (stored %08x, computed %08x)", c.Name, wantCRC, got)
-	}
-	return nil
+	return decodeTable(name, meta.layout, data, 0)
 }

@@ -2,16 +2,20 @@ package storage
 
 import (
 	"errors"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"sia/internal/engine"
 	"sia/internal/predicate"
 )
 
-// FuzzReadSegment drives the byte-level segment decoder with hostile
-// input. The contract under fuzz is the library's no-panic guarantee: any
-// byte string either decodes to a table or returns an error — structural
-// damage matching ErrCorrupt — and a *valid* image that decodes must
+// FuzzReadSegment drives both segment readers with hostile input: the
+// byte-level DecodeSegment and, through a temp file, the file-level
+// OpenSegment+Load the scan runs. The contract under fuzz is the library's
+// no-panic guarantee: any byte string either decodes to a table or returns
+// an error — structural damage matching ErrCorrupt — the two readers agree
+// on which, and on the table, and a *valid* image that decodes must
 // re-encode to an equal table (the decoder cannot invent or drop rows).
 func FuzzReadSegment(f *testing.F) {
 	// Seed with well-formed segments of a few shapes so the fuzzer mutates
@@ -42,12 +46,22 @@ func FuzzReadSegment(f *testing.F) {
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		fromFile, fileErr := readSegmentFile(t, data)
 		tbl, err := DecodeSegment("fuzz", data)
 		if err != nil {
 			if !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("DecodeSegment returned a non-corruption error: %v", err)
 			}
+			if !errors.Is(fileErr, ErrCorrupt) {
+				t.Fatalf("DecodeSegment failed (%v) but OpenSegment+Load returned %v", err, fileErr)
+			}
 			return
+		}
+		if fileErr != nil {
+			t.Fatalf("DecodeSegment succeeded but OpenSegment+Load failed: %v", fileErr)
+		}
+		if !engine.TablesEqual(tbl, fromFile) {
+			t.Fatal("DecodeSegment and OpenSegment+Load decoded different tables")
 		}
 		// Valid image: re-encoding its table must produce a decodable
 		// segment holding equal data.
@@ -63,4 +77,18 @@ func FuzzReadSegment(f *testing.F) {
 			t.Fatal("decode → encode → decode changed the data")
 		}
 	})
+}
+
+// readSegmentFile writes data to a temp segment file and reads it back
+// with OpenSegment and Load.
+func readSegmentFile(t *testing.T, data []byte) (*engine.Table, error) {
+	path := filepath.Join(t.TempDir(), "seg-000000"+segFileExt)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	seg, err := OpenSegment(path)
+	if err != nil {
+		return nil, err
+	}
+	return seg.Load("fuzz")
 }

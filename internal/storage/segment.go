@@ -94,28 +94,14 @@ func (s *Segment) Load(name string) (*engine.Table, error) {
 	defer f.Close()
 
 	layout := s.meta.layout
-	pagesOff := align8(int64(0))
-	if len(layout.pages) > 0 {
-		pagesOff = layout.pages[0].off
-	}
+	pagesOff := layout.pages[0].off
 	pages := make([]byte, layout.footerOff-pagesOff)
 	if _, err := f.ReadAt(pages, pagesOff); err != nil {
 		return nil, fmt.Errorf("storage: reading segment pages: %w", err)
 	}
-
-	cols := s.meta.cols()
-	values := make([]engine.ColumnValues, 0, len(cols))
-	for i, c := range cols {
-		page := layout.pages[i]
-		rel := page.off - pagesOff
-		if err := verifyPage(c, pages[rel:rel+page.dataLen()+4]); err != nil {
-			return nil, fmt.Errorf("%s: %w", s.path, err)
-		}
-		values = append(values, decodePage(c, s.meta.rows(), pages[rel:rel+page.dataLen()]))
-	}
-	t, err := engine.NewTableFromColumns(name, predicate.NewSchema(cols...), s.meta.rows(), values)
+	t, err := decodeTable(name, layout, pages, pagesOff)
 	if err != nil {
-		return nil, fmt.Errorf("%s: %w", s.path, corrupt("rebuilding table: %v", err))
+		return nil, fmt.Errorf("%s: %w", s.path, err)
 	}
 
 	mBytesRead.Add(uint64(len(pages)))

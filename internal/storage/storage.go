@@ -19,7 +19,9 @@
 // Every corruption — truncation, bad magic, checksum mismatch, a footer
 // that disagrees with the header's row count — surfaces as an error
 // matching ErrCorrupt via errors.Is; the reader never panics on hostile
-// bytes (see FuzzReadSegment).
+// bytes. DecodeSegment (an in-memory image) and OpenSegment+Load (a file)
+// verify and decode pages through one function; FuzzReadSegment fuzzes
+// both, through a temp file for the latter, and requires that they agree.
 package storage
 
 import "errors"

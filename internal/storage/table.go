@@ -18,7 +18,7 @@ const segFileExt = ".siaseg"
 // SegmentTable is a logical table stored as a directory of immutable
 // segment files. Streaming ingestion appends whole segments; scans visit
 // segments in append order, skipping any whose zone maps refute the
-// pushed-down predicate, and concatenate the per-segment results — which
+// pushed-down predicate, and keep the survivors in segment order — which
 // makes a scan's output row order identical to filtering the in-memory
 // concatenation of all segments.
 type SegmentTable struct {
@@ -148,10 +148,12 @@ func (st *SegmentTable) AppendRange(t *engine.Table, lo, hi int) error {
 // ScanFilter scans the table and returns the rows satisfying p (all rows
 // when p is nil), evaluated on par workers. p is compiled once per scan;
 // segments whose zone maps prove it cannot be TRUE on any row are skipped
-// without reading their column pages, and the rest are loaded,
-// checksum-verified, filtered, and concatenated in segment order. The
-// result is value-identical to engine.FilterPar over the in-memory
-// concatenation of every segment.
+// without reading their column pages, the rest are loaded and
+// checksum-verified, and one engine.FilterTables call selects and gathers
+// the survivors of every loaded segment, in segment order, into one output
+// sized exactly. The result is value-identical to engine.FilterPar over the
+// in-memory concatenation of every segment. Peak memory is the decoded
+// surviving segments plus the output.
 func (st *SegmentTable) ScanFilter(p predicate.Predicate, par int) (*engine.Table, error) {
 	st.mu.RLock()
 	segs := append([]*Segment(nil), st.segs...)
@@ -171,42 +173,7 @@ func (st *SegmentTable) ScanFilter(p predicate.Predicate, par int) (*engine.Tabl
 		if err != nil {
 			return nil, err
 		}
-		if prog != nil {
-			t = engine.FilterProgram(t, prog, par)
-		}
 		parts = append(parts, t)
 	}
-	return concatTables(st.name, st.schema, parts)
-}
-
-// concatTables stacks parts (all sharing schema) into one table, in order.
-func concatTables(name string, schema *predicate.Schema, parts []*engine.Table) (*engine.Table, error) {
-	nRows := 0
-	for _, p := range parts {
-		nRows += p.NumRows()
-	}
-	cols := schema.Columns()
-	values := make([]engine.ColumnValues, 0, len(cols))
-	for _, c := range cols {
-		cv := engine.ColumnValues{Name: c.Name}
-		if c.Type.Integral() {
-			cv.Ints = make([]int64, 0, nRows)
-			for _, p := range parts {
-				cv.Ints = append(cv.Ints, p.Ints(c.Name)...)
-			}
-		} else {
-			cv.Reals = make([]float64, 0, nRows)
-			for _, p := range parts {
-				cv.Reals = append(cv.Reals, p.Reals(c.Name)...)
-			}
-		}
-		if !c.NotNull {
-			cv.Nulls = make([]bool, 0, nRows)
-			for _, p := range parts {
-				cv.Nulls = append(cv.Nulls, p.Nulls(c.Name)...)
-			}
-		}
-		values = append(values, cv)
-	}
-	return engine.NewTableFromColumns(name, schema, nRows, values)
+	return engine.FilterTables(st.name, st.schema, parts, prog, par), nil
 }
